@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -54,8 +55,8 @@ from .numth import (
 from .perm import Permutation, is_derangement
 from .semireg import (
     SemiregularWitness,
+    element_census,
     is_elusive,
-    is_semiregular_element,
     max_semiregular_order,
     product_action_fpf,
     product_action_perm,
@@ -138,27 +139,20 @@ def run_check(check_id: str, budgets: Budgets | None = None) -> CheckReport:
         raise CheckError(f"unregistered check id {check_id!r}; known: {check_ids()}")
     budgets = budgets or Budgets()
     claim, fn = _REGISTRY[check_id]
-    start = time.time()
+    start = time.perf_counter()
     try:
         verdict, inputs, certificate, detail = fn(budgets)
     except BudgetError as exc:
-        return CheckReport(check_id, claim, {}, "unknown", None, time.time() - start,
+        return CheckReport(check_id, claim, {}, "unknown", None, time.perf_counter() - start,
                            budgets=budgets.to_json_dict(), detail=str(exc))
     report = CheckReport(check_id, claim, inputs, verdict, certificate,
-                         time.time() - start, detail=detail)
+                         time.perf_counter() - start, detail=detail)
     if verdict == "unknown":
         report.budgets = budgets.to_json_dict()
     return report
 
 
 # -- helpers ------------------------------------------------------------------
-
-
-def _first_derangement(G: PermGroup, budgets: Budgets) -> Permutation | None:
-    for p in G.elements(budgets.elements):
-        if is_derangement(p):
-            return p
-    return None
 
 
 def _greedy_extend(prefix: list[Permutation], k: int, degree: int) -> CliqueCertificate | None:
@@ -524,11 +518,9 @@ def _check_psp43(budgets: Budgets):
     _, primitive = blocks_and_primitivity(G36)
     if not primitive:
         return "fail", {}, None, "degree-36 action is not primitive"
-    witness = None
-    for p in G36.elements(budgets.elements):
-        if p.order() == 9 and is_semiregular_element(p):
-            if witness is None or p < witness:
-                witness = p
+    # uncached: a cached census would keep this one-off group alive after the check
+    _, semi_elems = element_census.__wrapped__(G36, budgets.elements)
+    witness = next((p for p in semi_elems if p.order() == 9), None)
     if witness is None:
         return "fail", {}, None, "no order-9 semiregular element found"
     w = SemiregularWitness("PSp4(3):36", [witness], 9, "cyclic-scan")
@@ -584,7 +576,7 @@ def _check_m11wr2_elusive(budgets: Budgets):
           "{(h^e1, h^e2)} inside M11 wr C2 acting on 144 points")
 def _check_m11wr2_clique(budgets: Budgets):
     base = catalog_load("M11:12").group
-    h = _first_derangement(base, budgets)
+    h = next(p for p in base.elements(budgets.elements) if is_derangement(p))
     cert = product_clique(h, 2, budgets.degree)
     if cert.size != 4:
         return "fail", {}, None, f"clique size {cert.size} != 4"
@@ -714,11 +706,7 @@ def analyze(source: str | Path | GroupFile, budgets: Budgets | None = None,
 
     within_budget = G.order() <= budgets.elements
     if within_budget:
-        count = 0
-        for p in G.elements(budgets.elements):
-            if is_derangement(p):
-                count += 1
-        report["derangement_count"] = count
+        report["derangement_count"], _ = element_census(G, budgets.elements)
         rep = is_elusive(G, budgets.elements)
         report["elusive"] = rep.elusive
         if rep.witness is not None:
@@ -777,12 +765,9 @@ def analyze(source: str | Path | GroupFile, budgets: Budgets | None = None,
     return report
 
 
-_CACHE_VERSION = 1
-
-
 def corpus_scan(directory: str | Path, budgets: Budgets | None = None,
                 use_cache: bool = True) -> dict:
-    """Analyze every .json group file in a directory; cached per content hash."""
+    """Analyze every .json group file in a directory; cached per file, version and budgets."""
     budgets = budgets or Budgets()
     directory = Path(directory)
     cache_path = directory / ".drg_cache.json"
@@ -798,7 +783,7 @@ def corpus_scan(directory: str | Path, budgets: Budgets | None = None,
         if path.name == "index.json" or path.name.startswith("."):
             continue
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        key = f"{path.name}:{digest}:{_CACHE_VERSION}:{budget_key}"
+        key = f"{path.name}:{digest}:{__version__}:{budget_key}"
         if key in cache:
             rows.append(cache[key])
             continue
@@ -811,6 +796,9 @@ def corpus_scan(directory: str | Path, budgets: Budgets | None = None,
         rows.append(row)
         cache[key] = row
     if use_cache:
-        cache_path.write_text(json.dumps(cache, indent=1, sort_keys=True))
+        # a rename is atomic, so an interrupted scan never leaves a truncated cache
+        tmp_path = cache_path.with_name(f"{cache_path.name}.{os.getpid()}.tmp")
+        tmp_path.write_text(json.dumps(cache, indent=1, sort_keys=True))
+        os.replace(tmp_path, cache_path)
     failures = sum(1 for row in rows if row.get("integrity") != "ok")
     return {"rows": rows, "integrity_failures": failures}

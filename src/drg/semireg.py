@@ -2,16 +2,19 @@
 
 A subgroup is semiregular when its only element with a fixed point is the
 identity; its order then divides the degree, which is what keeps the
-subgroup searches here small. The subgroup search is a closure BFS that
-extends a semiregular subgroup by one semiregular element at a time; since
-every subgroup of a semiregular group is semiregular, every semiregular
-subgroup is reachable this way and a closed search is exhaustive.
+subgroup searches here small. Elusiveness and the subgroup search read one
+element census of the group: its derangement count and its semiregular
+elements. The subgroup search is a closure BFS that extends a semiregular
+subgroup by one cyclic semiregular subgroup at a time; since every subgroup
+of a semiregular group is semiregular, every semiregular subgroup is
+reachable this way and a closed search is exhaustive.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 from .group import (
     DEFAULT_ELEMENT_BUDGET,
     DEFAULT_SUBGROUP_BUDGET,
@@ -110,23 +113,40 @@ class ElusivenessReport:
         }
 
 
+@lru_cache(maxsize=1)
+def element_census(G: PermGroup, element_budget: int) -> tuple[int, tuple[Permutation, ...]]:
+    """(derangement count, sorted non-identity semiregular elements) of G.
+
+    One pass; raises BudgetError when |G| exceeds the budget. Only derangements
+    get the cycle-type test, since every non-identity semiregular element is
+    one. Only the latest group's census is kept: a larger cache would hold the
+    semiregular elements of every group its callers keep alive.
+    """
+    count = 0
+    semiregular = []
+    for p in G.elements(element_budget):
+        if is_derangement(p):
+            count += 1
+            if is_semiregular_element(p):
+                semiregular.append(p)
+    return count, tuple(sorted(semiregular))
+
+
 def is_elusive(G: PermGroup,
                element_budget: int = DEFAULT_ELEMENT_BUDGET) -> ElusivenessReport:
-    """Scan all elements of prime order for a derangement.
+    """Search the elements of prime order for a derangement.
 
-    Elusive means no fixed-point-free element of prime order exists. The
-    witness reported is the lexicographically least one.
+    Elusive means no fixed-point-free element of prime order exists. Such an
+    element is a derangement exactly when it is semiregular, so the witness,
+    the first one in the sorted census, is the lexicographically least one.
     """
     primes = sorted(factorize(G.order()))
     try:
-        witness = None
-        for p in G.elements(element_budget):
-            if is_prime(p.order()) and is_derangement(p):
-                if witness is None or p.images < witness.images:
-                    witness = p
+        _, semi_elems = element_census(G, element_budget)
     except BudgetError:
         return ElusivenessReport(G.name, None, None, None, primes,
                                  "order exceeds enumeration budget")
+    witness = next((p for p in semi_elems if is_prime(p.order())), None)
     if witness is None:
         return ElusivenessReport(G.name, True, None, None, primes)
     return ElusivenessReport(G.name, False, witness, witness.order(), primes)
@@ -178,23 +198,17 @@ def max_semiregular_order(G: PermGroup,
     """Largest semiregular subgroup found, with provenance.
 
     Search order: caller-provided seed subgroups (checked, never trusted),
-    then a scan over all elements for the best semiregular cyclic subgroup,
-    then a breadth-first closure over semiregular subgroups extended one
-    semiregular element at a time. The optimality flag is set only when the
-    element scan was complete and the closure search exhausted its frontier
-    within budget; a capped run reports the best witness found, never a
-    negative claim.
+    then every cyclic subgroup generated by a semiregular element of the
+    element census, then a breadth-first closure over semiregular subgroups
+    extended one cyclic subgroup at a time. An extension joins the least
+    generator of a cyclic subgroup: <K, p> = <K, q> whenever <p> = <q>. The
+    optimality flag is set only when the census was complete and the closure
+    search exhausted its frontier within budget; a capped run reports the
+    best witness found, never a negative claim.
     """
     n = G.degree
-    identity = Permutation.identity(n)
-    best = SemiregularWitness(G.name, [identity], 1, "cyclic-scan")
-    optimal = True
+    best = SemiregularWitness(G.name, [Permutation.identity(n)], 1, "cyclic-scan")
     nodes = 0
-
-    stab_order = G.stabilizer_order() if G.is_transitive() else 0
-
-    def better(order: int) -> bool:
-        return order > best.order
 
     for seed_gens, label in seeds:
         elems = close_subgroup(list(seed_gens), n, subgroup_budget)
@@ -205,26 +219,15 @@ def max_semiregular_order(G: PermGroup,
             validate_semiregular(witness, n, subgroup_budget)
         except WitnessError:
             continue
-        if better(len(elems)):
+        if len(elems) > best.order:
             best = witness
 
-    # full element scan for semiregular elements
     try:
-        semi_elems = [p for p in G.elements(element_budget)
-                      if not p.is_identity() and is_semiregular_element(p)]
+        _, semi_elems = element_census(G, element_budget)
     except BudgetError:
         return MaxSemiregularResult(best, False, nodes)
-    semi_elems.sort()
-    for p in semi_elems:
-        o = p.order()
-        if better(o):
-            method = "order-coprime" if (
-                is_prime(o) and stab_order and stab_order % o != 0
-            ) else "cyclic-scan"
-            best = SemiregularWitness(G.name, [p], o, method)
 
     # closure BFS over semiregular subgroups
-    semi_images = [p.images for p in semi_elems]
     cap = min(n, subgroup_budget) + 1
     visited: set[frozenset] = set()
     queue: deque[tuple[list[Permutation], frozenset]] = deque()
@@ -235,14 +238,17 @@ def max_semiregular_order(G: PermGroup,
         if key in visited:
             return
         visited.add(key)
-        if better(len(elems)):
+        if len(elems) > best.order:
             best = SemiregularWitness(G.name, list(gens), len(elems), method)
         queue.append((gens, key))
 
+    coprime = semiregular_primes(G) if G.is_transitive() else set()
     for p in semi_elems:
-        elems = _close_semiregular([p.images], n, cap)
-        if elems is not None:
-            push([p], elems, "cyclic-scan")
+        method = "order-coprime" if p.order() in coprime else "cyclic-scan"
+        # <p> is semiregular of order at most n, so this closure always succeeds
+        push([p], _close_semiregular([p.images], n, n + 1), method)
+    # only the least generator of each cyclic subgroup was queued
+    cyclic_gens = [gens[0] for gens, _ in queue]
     for seed_gens, label in seeds:
         elems = _close_semiregular([g.images for g in seed_gens], n, cap)
         if elems is not None:
@@ -251,17 +257,17 @@ def max_semiregular_order(G: PermGroup,
     while queue:
         gens, key = queue.popleft()
         gen_images = [g.images for g in gens]
-        for p_images in semi_images:
-            if p_images in key:
+        for q in cyclic_gens:
+            if q.images in key:
                 continue
             nodes += 1
             if nodes > extension_budget:
                 return MaxSemiregularResult(best, False, nodes, len(semi_elems))
-            elems = _close_semiregular(gen_images + [p_images], n, cap)
+            elems = _close_semiregular(gen_images + [q.images], n, cap)
             if elems is not None and len(elems) <= n:
-                push(gens + [Permutation(p_images)], elems, "backtrack")
+                push(gens + [q], elems, "backtrack")
 
-    return MaxSemiregularResult(best, optimal, nodes, len(semi_elems))
+    return MaxSemiregularResult(best, True, nodes, len(semi_elems))
 
 
 # -- block lifting ---------------------------------------------------------------

@@ -1,9 +1,11 @@
+import importlib.util
 import itertools
 import json
 from pathlib import Path
 
 import pytest
 
+from drg import __version__
 from drg.catalog import catalog_load, data_dir
 from drg.checks import (
     Budgets,
@@ -25,6 +27,7 @@ from drg.oracles import (
     exhaustive_max_semiregular,
 )
 from drg.perm import Permutation, parse_cycles
+from drg.semireg import element_census
 
 
 def test_check_registry_covers_acceptance():
@@ -77,6 +80,30 @@ def test_analyze_deterministic():
     assert a["max_semiregular_order"] == 3
     assert a["clique_lower_bound"] == 4
     assert a["elusive"] is False
+
+
+def test_analyze_enumerates_each_group_once(monkeypatch):
+    G = catalog_load("M12:12").group
+    elements = PermGroup.elements
+    yielded = 0
+
+    def counted(self, *args, **kwargs):
+        nonlocal yielded
+        for p in elements(self, *args, **kwargs):
+            yielded += 1
+            yield p
+
+    monkeypatch.setattr(PermGroup, "elements", counted)
+    element_census.cache_clear()
+    analyze("M12:12")
+    # one census pass, plus the short derangement prefixes of the greedy cliques
+    assert yielded < 1.1 * G.order()
+
+
+def test_analyze_a7_semiregular_search_closes():
+    rep = analyze("A7:7")
+    assert rep["max_semiregular_closed"] is True
+    assert rep["max_semiregular_order"] == 7
 
 
 def test_analyze_regular_group_density():
@@ -134,6 +161,21 @@ def test_corpus_scan_small_dir(tmp_path):
     again = corpus_scan(tmp_path, use_cache=True)
     assert json.dumps(result, sort_keys=True) == json.dumps(again, sort_keys=True)
     assert (tmp_path / ".drg_cache.json").exists()
+
+
+def test_corpus_scan_recomputes_rows_of_another_version(tmp_path):
+    (tmp_path / "c5_5.json").write_text((data_dir() / "c5_5.json").read_text())
+    corpus_scan(tmp_path)
+    cache_path = tmp_path / ".drg_cache.json"
+    cache = json.loads(cache_path.read_text())
+    stale = {key.replace(f":{__version__}:", ":0.0.0:"): {"file": "c5_5.json", "stale": True}
+             for key in cache}
+    assert stale.keys().isdisjoint(cache)
+    cache_path.write_text(json.dumps(stale))
+    [row] = corpus_scan(tmp_path)["rows"]
+    assert "stale" not in row and row["order"] == 5
+    # the cache is replaced by a rename, which leaves no temporary file behind
+    assert sorted(p.name for p in tmp_path.iterdir()) == [".drg_cache.json", "c5_5.json"]
 
 
 def test_corpus_scan_empty_dir(tmp_path):
@@ -259,3 +301,24 @@ def test_cli_verify_cert_bad_file(tmp_path):
     path = tmp_path / "junk.json"
     path.write_text("{broken")
     assert cli_main(["verify-cert", str(path)]) == 3
+
+
+# -- the benchmark's tracer -----------------------------------------------------------
+
+
+def test_bench_tracer_wraps_every_import_site():
+    # a rename or an import by another name would silently zero per-layer metrics
+    import drg.cli  # noqa: F401
+    import drg.oracles  # noqa: F401
+
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        assert tracer.missing == []
+        assert tracer.unwrapped_sites() == []
+    finally:
+        tracer.uninstall()

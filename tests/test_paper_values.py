@@ -7,6 +7,7 @@ import pytest
 from drg.catalog import catalog_index, catalog_load
 from drg.graph import derangement_set, find_k_clique, max_clique
 from drg.group import close_subgroup, coset_action
+from drg.numth import is_prime
 from drg.perm import Permutation, compose, is_derangement
 from drg.semireg import (
     is_elusive,
@@ -30,6 +31,18 @@ def test_m11_deg11_not_elusive():
     rep = is_elusive(G)
     assert rep.elusive is False
     assert rep.witness_order == 11  # an 11-cycle witness
+
+
+def test_is_elusive_witness_is_least_prime_order_derangement():
+    for rec in catalog_index():
+        if rec["order"] > 20160:
+            continue
+        G = catalog_load(rec["name"]).group
+        least = min((p for p in G.elements() if is_derangement(p) and is_prime(p.order())),
+                    default=None)
+        rep = is_elusive(G)
+        assert rep.witness == least, rec["name"]
+        assert rep.elusive is (least is None), rec["name"]
 
 
 def test_m11_membership_closure():
