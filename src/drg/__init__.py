@@ -5,7 +5,7 @@ subgroups and elusive groups, the supporting effective number theory, and a
 catalog of verified witness groups.
 """
 
-__version__ = "0.1.1"
+__version__ = "0.1.2"
 
 from .perm import Permutation, compose, cycle_type, inverse, is_derangement
 from .group import (

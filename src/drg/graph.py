@@ -2,8 +2,11 @@
 
 Vertices are group elements; g and h are adjacent when g h^-1 is a
 derangement, which under the right-action convention happens exactly when
-the image tuples of g and h disagree in every coordinate. Adjacency is
-always computed from image tuples; no |G| x |G| matrix is ever stored.
+the image tuples of g and h disagree in every coordinate. The searches get
+their rows from per-point masks (the vertices sending x to y, one bitset for
+each pair of points), built once per vertex list; a row is built on first
+use and no |G| x |G| matrix is ever stored. The certificate validators do
+not use the masks: they compare image tuples pairwise.
 
 Searches operate on integer bitsets over an indexed vertex universe and are
 deterministic: vertices are indexed in lexicographic order of their image
@@ -139,27 +142,38 @@ class _BudgetExhausted(Exception):
 
 
 class _LazyAdjacency:
-    """Adjacency rows over an indexed vertex list, built on first use."""
+    """Adjacency rows over an indexed vertex list, built on first use.
+
+    The constructor builds the point masks once: masks[x][y] is the bitset
+    of vertices v with v(x) = y. Vertex i agrees with exactly the vertices
+    in agree = OR over x of masks[x][g_i(x)], itself included. A derangement
+    graph row is then universe & ~agree; a complement row (the vertices that
+    share a point with g_i) is agree without bit i.
+    """
 
     def __init__(self, images: list[tuple[int, ...]], complement: bool = False):
         self.images = images
         self.complement = complement
+        self.universe = (1 << len(images)) - 1
+        degree = len(images[0]) if images else 0
+        self.masks = [[0] * degree for _ in range(degree)]
+        for j, img in enumerate(images):
+            bit = 1 << j
+            for mx, y in zip(self.masks, img):
+                mx[y] |= bit
         self._rows: dict[int, int] = {}
 
     def row(self, i: int) -> int:
         cached = self._rows.get(i)
         if cached is not None:
             return cached
-        gi = self.images[i]
-        bits = 0
+        agree = 0
+        for mx, y in zip(self.masks, self.images[i]):
+            agree |= mx[y]
         if self.complement:
-            for j, hj in enumerate(self.images):
-                if j != i and any(a == b for a, b in zip(gi, hj)):
-                    bits |= 1 << j
+            bits = agree & ~(1 << i)
         else:
-            for j, hj in enumerate(self.images):
-                if j != i and all(a != b for a, b in zip(gi, hj)):
-                    bits |= 1 << j
+            bits = self.universe & ~agree
         self._rows[i] = bits
         return bits
 
@@ -285,10 +299,9 @@ def find_k_clique(G: PermGroup, k: int,
     dset = derangement_set(G, element_budget)
     images = [p.images for p in dset.members]
     adj = _LazyAdjacency(images)
-    universe = (1 << len(images)) - 1
     stats = SearchStats(budget=node_budget)
     try:
-        got = _find_clique_of_size(adj, universe, k - 1, stats)
+        got = _find_clique_of_size(adj, adj.universe, k - 1, stats)
     except _BudgetExhausted:
         return CliqueSearchResult("unknown", None, stats.nodes)
     if got is None:
@@ -317,9 +330,8 @@ def max_clique(G: PermGroup,
     dset = derangement_set(G, element_budget)
     images = [p.images for p in dset.members]
     adj = _LazyAdjacency(images)
-    universe = (1 << len(images)) - 1
     stats = SearchStats(budget=node_budget)
-    best, closed = _max_clique_search(adj, universe, stats)
+    best, closed = _max_clique_search(adj, adj.universe, stats)
     vertices = [identity] + [dset.members[i] for i in sorted(best)]
     cert = CliqueCertificate(vertices)
     validate_clique(cert)
@@ -350,7 +362,6 @@ def max_intersecting_family(G: PermGroup,
               and any(i == j for i, j in enumerate(p.images))]
     images = [p.images for p in fixers]
     adj = _LazyAdjacency(images, complement=True)
-    universe = (1 << len(images)) - 1
 
     stabilizer = [i for i, p in enumerate(fixers) if p.images[0] == 0]
     # the stabilizer of 0 is intersecting and pairwise-compatible, a valid seed
@@ -361,7 +372,7 @@ def max_intersecting_family(G: PermGroup,
         stop_at = G.order() // clique_size_hint - 1  # excluding the identity root
 
     stats = SearchStats(budget=node_budget)
-    best, closed = _max_clique_search(adj, universe, stats, initial=initial,
+    best, closed = _max_clique_search(adj, adj.universe, stats, initial=initial,
                                       stop_at=stop_at)
     vertices = [identity] + [fixers[i] for i in sorted(best)]
     cert = CocliqueCertificate(vertices)

@@ -1,12 +1,12 @@
 """Exact number theory: primes, factoring, cyclotomic values, special prime finders.
 
 Everything is arbitrary-precision and deterministic. Primality is
-Miller-Rabin with the twelve primes up to 37 as bases. That is a proof only
-below 318665857834031151167461 (about 3.2e23), itself a composite that
-``is_prime`` accepts; above it, "prime" means a strong probable prime to all
-twelve bases. The Zsigmondy table (q <= 64, t <= 20) reaches that range: 19
-of its primitive prime divisors lie above the bound, up to 101 bits at
-(q, t) = (48, 19).
+Miller-Rabin with the thirteen primes up to 41 as bases. That is a proof
+below 3317044064679887385961981 (about 3.3e24), the least strong pseudoprime
+to all thirteen, which ``is_prime`` accepts; above it, "prime" means a
+strong probable prime to every base. The Zsigmondy table (q <= 64,
+t <= 20) reaches that range: 15 of its primitive prime divisors lie above
+the bound, up to 101 bits at (q, t) = (48, 19).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, isqrt, prod
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _POWER_BIT_BUDGET = 10_000
 
 

@@ -1,7 +1,8 @@
 """Reference implementations used to cross-check the production searches.
 
 These share no search logic with the production code: cliques and cocliques
-go through Bron-Kerbosch with pivoting on explicit adjacency bitsets, group
+go through Bron-Kerbosch with pivoting on explicit adjacency bitsets (the
+clique search stops once it reaches the bound omega <= n, the degree), group
 order through a plain breadth-first closure, and the semiregular maximum
 through a full walk of the subgroup lattice up to the degree. They are
 meant for groups of order a few hundred.
@@ -36,9 +37,14 @@ def _adjacency_bitsets(images: list[tuple[int, ...]], complement: bool) -> list[
     return rows
 
 
-def _bron_kerbosch(adj: list[int], n: int) -> list[int]:
-    """Maximum clique via pivoted Bron-Kerbosch over int bitsets."""
+def _bron_kerbosch(adj: list[int], n: int, ceiling: int | None = None) -> list[int]:
+    """Maximum clique via pivoted Bron-Kerbosch over int bitsets.
+
+    Given a ceiling, a proven upper bound on the clique number, the search
+    stops as soon as it holds a clique of that size.
+    """
     best: list[int] = []
+    target = n if ceiling is None else ceiling
 
     def extend(r: list[int], p: int, x: int) -> None:
         nonlocal best
@@ -52,7 +58,7 @@ def _bron_kerbosch(adj: list[int], n: int) -> list[int]:
         pivot = (pivot_pool & -pivot_pool).bit_length() - 1
         best_cover = p & ~adj[pivot]
         candidates = best_cover
-        while candidates:
+        while candidates and len(best) < target:
             low = candidates & -candidates
             v = low.bit_length() - 1
             candidates ^= low
@@ -67,10 +73,14 @@ def _bron_kerbosch(adj: list[int], n: int) -> list[int]:
 
 
 def exhaustive_max_clique(G: PermGroup) -> int:
-    """omega of the derangement graph over all |G| vertices, no symmetry tricks."""
+    """omega of the derangement graph over all |G| vertices, no symmetry tricks.
+
+    Stops at a clique of size n = degree: omega <= n, since the members of a
+    clique send point 0 to pairwise distinct points.
+    """
     images = G.element_images()
     adj = _adjacency_bitsets(images, complement=False)
-    return len(_bron_kerbosch(adj, len(images)))
+    return len(_bron_kerbosch(adj, len(images), ceiling=G.degree))
 
 
 def exhaustive_max_coclique(G: PermGroup) -> int:

@@ -202,9 +202,11 @@ def max_semiregular_order(G: PermGroup,
     element census, then a breadth-first closure over semiregular subgroups
     extended one cyclic subgroup at a time. An extension joins the least
     generator of a cyclic subgroup: <K, p> = <K, q> whenever <p> = <q>. The
-    optimality flag is set only when the census was complete and the closure
-    search exhausted its frontier within budget; a capped run reports the
-    best witness found, never a negative claim.
+    optimality flag is set only when the census was complete, the closure
+    search exhausted its frontier within budget, and the subgroup budget
+    reached the degree (below it, a closure cut off by the budget cannot be
+    told from one that is not semiregular); a capped run reports the best
+    witness found, never a negative claim.
     """
     n = G.degree
     best = SemiregularWitness(G.name, [Permutation.identity(n)], 1, "cyclic-scan")
@@ -267,7 +269,7 @@ def max_semiregular_order(G: PermGroup,
             if elems is not None and len(elems) <= n:
                 push(gens + [q], elems, "backtrack")
 
-    return MaxSemiregularResult(best, True, nodes, len(semi_elems))
+    return MaxSemiregularResult(best, subgroup_budget >= n, nodes, len(semi_elems))
 
 
 # -- block lifting ---------------------------------------------------------------

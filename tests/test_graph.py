@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from drg.catalog import catalog_index, catalog_load
 from drg.graph import (
     CertificateError,
     CliqueCertificate,
@@ -16,6 +17,7 @@ from drg.graph import (
     max_intersecting_family,
     validate_clique,
     validate_coclique,
+    _LazyAdjacency,
 )
 from drg.group import PermGroup
 from drg.perm import Permutation, compose, inverse, is_derangement, parse_cycles
@@ -230,3 +232,38 @@ def test_density_rho_upper_triangle():
         rep = density_bounds(G)
         if G.degree >= 3:
             assert rep.rho_upper <= Fraction(G.degree, 3)
+
+
+def _assert_mask_rows_match_definition(G, rows):
+    # clique rows over the derangements: j adjacent to i by the definition
+    ders = derangement_set(G).members
+    adj = _LazyAdjacency([p.images for p in ders])
+    for i in range(min(rows, len(ders))):
+        want = sum(1 << j for j, h in enumerate(ders) if j != i and are_adjacent(ders[i], h))
+        assert adj.row(i) == want, (G.name, "clique", i)
+    # complement rows over the non-identity elements that fix a point:
+    # j != i agreeing with i somewhere
+    fixers = [t for t in G.element_images()
+              if t != tuple(range(G.degree)) and any(i == x for i, x in enumerate(t))]
+    adj = _LazyAdjacency(fixers, complement=True)
+    for i in range(min(rows, len(fixers))):
+        want = sum(1 << j for j, h in enumerate(fixers)
+                   if j != i and any(a == b for a, b in zip(fixers[i], h)))
+        assert adj.row(i) == want, (G.name, "complement", i)
+
+
+def test_mask_rows_match_definition_on_catalog():
+    for rec in catalog_index():
+        if rec["order"] <= 360:
+            _assert_mask_rows_match_definition(catalog_load(rec["name"]).group, rec["order"])
+    _assert_mask_rows_match_definition(catalog_load("M11:12").group, 50)
+
+
+def test_density_m11_deg12_exact():
+    G = catalog_load("M11:12").group
+    rep = density_bounds(G)
+    assert rep.status == "ok"
+    assert rep.best_clique == 12 and rep.clique_optimal
+    assert rep.best_coclique == 660 and rep.coclique_optimal
+    assert rep.rho_lower == rep.rho_upper == Fraction(1)
+    assert clique_coclique_audit(rep.clique_certificate, rep.coclique_certificate, G)

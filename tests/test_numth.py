@@ -35,6 +35,23 @@ def test_is_prime_large():
     assert not is_prime(2 ** 67 - 1)  # 193707721 * 761838257287
 
 
+def test_is_prime_at_the_miller_rabin_proof_bound():
+    # psi_12, the least strong pseudoprime to the bases 2..37
+    psi12 = 318665857834031151167461
+    assert psi12 == 399165290221 * 798330580441
+    assert not is_prime(psi12)
+    # a prime just below psi_13, proved here by a Lucas certificate: 2 has
+    # order exactly p - 1 modulo p, and p - 1 factors into proven primes
+    p = 3317044064679887385961813
+    assert p < 3317044064679887385961981
+    factors = (2, 3, 103, 132408623, 20268261599279)
+    assert p - 1 == 2 ** 2 * prod(factors[1:])
+    assert all(is_prime(f) for f in factors)
+    assert pow(2, p - 1, p) == 1
+    assert all(pow(2, (p - 1) // f, p) != 1 for f in factors)
+    assert is_prime(p)
+
+
 def test_factorize_random_roundtrip():
     rng = random.Random(0)
     for _ in range(200):

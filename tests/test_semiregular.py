@@ -124,6 +124,14 @@ def test_max_semiregular_alt4_finds_klein_four():
     validate_semiregular(r.witness, 4)
 
 
+def test_max_semiregular_small_subgroup_budget_is_not_closed():
+    # a budget of 2 cuts off the closure of the Klein four-group, so the
+    # search cannot rule out order 4 and must not claim order 2 is maximal
+    r = max_semiregular_order(alt(4), subgroup_budget=2)
+    assert not r.optimal
+    assert r.witness.order <= 4
+
+
 def test_max_semiregular_a5_deg6():
     r = max_semiregular_order(a5_on_6())
     assert r.optimal
