@@ -386,14 +386,18 @@ def _check_dominance(budgets: Budgets):
           "over 2 <= q <= 64 and 2 <= t <= 20, q^t - 1 lacks a primitive prime divisor "
           "exactly for (q, t) = (2, 6) and for t = 2 with q + 1 a power of two")
 def _check_zsigmondy(budgets: Budgets):
+    # the primes of Phi*_t(q) are exactly the primitive prime divisors of
+    # q^t - 1, so the table needs no factoring and no primality test; the
+    # factoring path is cross-checked against it for q <= 16
     bad = []
     exceptions = []
     for q in range(2, 65):
         for t in range(2, 21):
-            r = primitive_prime_divisors(q, t)
-            if r.exceptional != zsigmondy_exception_expected(q, t):
+            exceptional = phi_star(t, q) == 1
+            if (exceptional != zsigmondy_exception_expected(q, t)
+                    or (q <= 16 and exceptional != primitive_prime_divisors(q, t).exceptional)):
                 bad.append((q, t))
-            if r.exceptional:
+            if exceptional:
                 exceptions.append((q, t))
     verdict = "pass" if not bad else "fail"
     return (verdict, {"q_max": 64, "t_max": 20},
@@ -772,11 +776,14 @@ def corpus_scan(directory: str | Path, budgets: Budgets | None = None,
     directory = Path(directory)
     cache_path = directory / ".drg_cache.json"
     cache = {}
-    if use_cache and cache_path.exists():
+    if use_cache:
+        # the cache is best effort: a missing, unreadable or malformed one is empty
         try:
-            cache = json.loads(cache_path.read_text())
-        except json.JSONDecodeError:
-            cache = {}
+            loaded = json.loads(cache_path.read_text())
+        except (OSError, ValueError):
+            loaded = {}
+        if isinstance(loaded, dict):
+            cache = loaded
     budget_key = json.dumps(budgets.to_json_dict(), sort_keys=True)
     rows = []
     for path in sorted(directory.glob("*.json")):
@@ -796,9 +803,13 @@ def corpus_scan(directory: str | Path, budgets: Budgets | None = None,
         rows.append(row)
         cache[key] = row
     if use_cache:
-        # a rename is atomic, so an interrupted scan never leaves a truncated cache
+        # a rename is atomic, so an interrupted scan never leaves a truncated cache;
+        # a directory that cannot be written loses only the cache, not the scan
         tmp_path = cache_path.with_name(f"{cache_path.name}.{os.getpid()}.tmp")
-        tmp_path.write_text(json.dumps(cache, indent=1, sort_keys=True))
-        os.replace(tmp_path, cache_path)
+        try:
+            tmp_path.write_text(json.dumps(cache, indent=1, sort_keys=True))
+            os.replace(tmp_path, cache_path)
+        except OSError:
+            tmp_path.unlink(missing_ok=True)
     failures = sum(1 for row in rows if row.get("integrity") != "ok")
     return {"rows": rows, "integrity_failures": failures}

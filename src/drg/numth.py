@@ -4,13 +4,17 @@ Everything is arbitrary-precision and deterministic. Primality is
 Miller-Rabin with the thirteen primes up to 41 as bases. That is a proof
 below 3317044064679887385961981 (about 3.3e24), the least strong pseudoprime
 to all thirteen, which ``is_prime`` accepts; above it, "prime" means a
-strong probable prime to every base. The Zsigmondy table (q <= 64,
-t <= 20) reaches that range: 15 of its primitive prime divisors lie above
-the bound, up to 101 bits at (q, t) = (48, 19).
+strong probable prime to every base. The lists of primitive prime divisors
+that ``primitive_prime_divisors`` returns (and the CLI prints) reach that
+range: over q <= 64, t <= 20, 15 of them lie above the bound, up to 101
+bits at (q, t) = (48, 19). Whether a primitive prime divisor exists needs
+neither factoring nor a primality proof: it does iff ``phi_star`` exceeds 1,
+which is how the Zsigmondy table check decides it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from math import gcd, isqrt, prod
 
@@ -58,16 +62,19 @@ def primes_up_to(limit: int) -> list[int]:
 
 
 _TRIAL_PRIMES: list[int] = []
+_PM1_BOUND = 20_000
+_PM1_POWERS: list[int] = []  # p^k <= _PM1_BOUND for each prime p, k maximal
 
 
-def _pollard_pm1(n: int, bound: int = 20_000) -> int | None:
-    """Pollard p-1, stage one; cheap and catches factors with smooth p-1."""
-    import math
-
+def _pollard_pm1(n: int) -> int | None:
+    """Pollard p-1, stage one to _PM1_BOUND; cheap and catches factors with smooth p-1."""
+    if not _PM1_POWERS:
+        log_bound = math.log(_PM1_BOUND)
+        _PM1_POWERS.extend(p ** max(1, int(log_bound / math.log(p)))
+                           for p in primes_up_to(_PM1_BOUND))
     a = 2
-    log_bound = math.log(bound)
-    for p in primes_up_to(bound):
-        a = pow(a, p ** max(1, int(log_bound / math.log(p))), n)
+    for power in _PM1_POWERS:
+        a = pow(a, power, n)
     g = gcd(a - 1, n)
     return g if 1 < g < n else None
 
@@ -290,7 +297,12 @@ def cyclotomic_value(n: int, q: int) -> int:
 
 
 def phi_star(n: int, q: int) -> int:
-    """Largest divisor of Phi_n(q) coprime to prod_{i<n} (q^i - 1)."""
+    """Largest divisor of Phi_n(q) coprime to prod_{i<n} (q^i - 1).
+
+    Its prime divisors are exactly the primitive prime divisors of q^n - 1,
+    each to its full power in Phi_n(q); so q^n - 1 has a primitive prime
+    divisor iff phi_star(n, q) > 1.
+    """
     value = cyclotomic_value(n, q)
     lower = prod(_checked_power(q, i) - 1 for i in range(1, n)) if n > 1 else 1
     g = gcd(value, lower)
@@ -304,6 +316,4 @@ def power_vs_factorial(m: int) -> bool:
     """Exact check of (m/2)^m >= m!/2, i.e. 2 * m^m >= 2^m * m!."""
     if m < 1:
         raise ValueError("power_vs_factorial needs m >= 1")
-    import math
-
     return 2 * m ** m >= 2 ** m * math.factorial(m)

@@ -10,6 +10,8 @@ meant for groups of order a few hundred.
 
 from __future__ import annotations
 
+from math import gcd
+
 from .group import PermGroup, close_subgroup
 from .perm import Permutation
 
@@ -90,14 +92,33 @@ def exhaustive_max_coclique(G: PermGroup) -> int:
     return len(_bron_kerbosch(adj, len(images)))
 
 
+def _cyclic_generators(images: list[tuple[int, ...]]) -> list[Permutation]:
+    """The least generator of each non-trivial cyclic subgroup, from sorted images."""
+    identity = images[0]
+    covered = set()
+    out = []
+    for g in images[1:]:
+        if g in covered:
+            continue
+        powers = [g]
+        while powers[-1] != identity:
+            powers.append(tuple(g[i] for i in powers[-1]))
+        order = len(powers)
+        covered.update(powers[k - 1] for k in range(1, order) if gcd(k, order) == 1)
+        out.append(Permutation(g))
+    return out
+
+
 def exhaustive_max_semiregular(G: PermGroup) -> int:
     """Largest semiregular subgroup by walking the whole subgroup lattice.
 
-    Every subgroup of order dividing the degree is visited via join
-    closure; semiregularity is then tested from the definition.
+    Every subgroup of order at most the degree is visited via join closure
+    with one cyclic subgroup at a time, through its least generator (the join
+    depends only on the cyclic subgroup); semiregularity is then tested from
+    the definition.
     """
     n = G.degree
-    elements = [Permutation(t) for t in G.element_images()]
+    cyclic_gens = _cyclic_generators(G.element_images())
     identity = tuple(range(n))
     trivial = frozenset({identity})
     seen = {trivial}
@@ -106,8 +127,8 @@ def exhaustive_max_semiregular(G: PermGroup) -> int:
         new = []
         for H in frontier:
             gens = [Permutation(t) for t in H if t != identity]
-            for g in elements:
-                if g.images in H or g.is_identity():
+            for g in cyclic_gens:
+                if g.images in H:
                     continue
                 closed = close_subgroup(gens + [g], n, n)
                 if closed is None:

@@ -1,6 +1,7 @@
 import importlib.util
 import itertools
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -176,6 +177,30 @@ def test_corpus_scan_recomputes_rows_of_another_version(tmp_path):
     assert "stale" not in row and row["order"] == 5
     # the cache is replaced by a rename, which leaves no temporary file behind
     assert sorted(p.name for p in tmp_path.iterdir()) == [".drg_cache.json", "c5_5.json"]
+
+
+def test_corpus_scan_reads_a_non_object_cache_as_empty(tmp_path):
+    (tmp_path / "c5_5.json").write_text((data_dir() / "c5_5.json").read_text())
+    (tmp_path / ".drg_cache.json").write_text("[1, 2]")
+    [row] = corpus_scan(tmp_path)["rows"]
+    assert row["order"] == 5
+    assert isinstance(json.loads((tmp_path / ".drg_cache.json").read_text()), dict)
+
+
+@pytest.mark.parametrize("failing", ["write_text", "replace"])
+def test_corpus_scan_survives_a_failed_cache_write(tmp_path, monkeypatch, failing):
+    (tmp_path / "c5_5.json").write_text((data_dir() / "c5_5.json").read_text())
+
+    def refuse(*args, **kwargs):
+        raise PermissionError("read-only directory")
+
+    if failing == "write_text":
+        monkeypatch.setattr(Path, "write_text", refuse)
+    else:
+        monkeypatch.setattr(os, "replace", refuse)
+    [row] = corpus_scan(tmp_path)["rows"]
+    assert row["order"] == 5 and row["integrity"] == "ok"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c5_5.json"]
 
 
 def test_corpus_scan_empty_dir(tmp_path):

@@ -1,8 +1,12 @@
+import json
 import random
+from dataclasses import replace
 from math import gcd, prod
 
 import pytest
 
+from drg import checks
+from drg.checks import run_check
 from drg.numth import (
     PowerBudgetError,
     bertrand_mid_prime,
@@ -184,6 +188,50 @@ def test_zsigmondy_exception_table():
         for t in range(2, 21):
             r = primitive_prime_divisors(q, t)
             assert r.exceptional == zsigmondy_exception_expected(q, t), (q, t)
+
+
+def test_zsigmondy_table_check_report():
+    rep = run_check("numth-zsigmondy-table")
+    assert rep.verdict == "pass" and rep.detail == ""
+    assert rep.inputs == {"q_max": 64, "t_max": 20}
+    assert json.loads(json.dumps(rep.certificate)) == {
+        "exceptions": [[2, 6], [3, 2], [7, 2], [15, 2], [31, 2], [63, 2]]}
+    # decided from phi_star, without factoring the table (which takes about 15 s)
+    assert rep.wall_time_s < 5.0
+
+
+def test_phi_star_is_the_primitive_part():
+    # the identity the Zsigmondy table check rests on
+    for q in range(2, 17):
+        for t in range(1, 21):
+            phi = cyclotomic_value(t, q)
+            want = 1
+            for p in primitive_prime_divisors(q, t).primitive_divisors:
+                while phi % p == 0:
+                    phi //= p
+                    want *= p
+            assert phi_star(t, q) == want, (q, t)
+
+
+def test_zsigmondy_check_fails_on_a_wrong_expectation(monkeypatch):
+    def flipped(q, t):
+        return zsigmondy_exception_expected(q, t) != ((q, t) == (2, 6))
+
+    monkeypatch.setattr(checks, "zsigmondy_exception_expected", flipped)
+    rep = run_check("numth-zsigmondy-table")
+    assert rep.verdict == "fail"
+    assert rep.detail == "mismatches: [(2, 6)]"
+
+
+def test_zsigmondy_check_cross_checks_the_factoring_path(monkeypatch):
+    def flipped(q, t):
+        r = primitive_prime_divisors(q, t)
+        return replace(r, exceptional=not r.exceptional) if (q, t) == (5, 3) else r
+
+    monkeypatch.setattr(checks, "primitive_prime_divisors", flipped)
+    rep = run_check("numth-zsigmondy-table")
+    assert rep.verdict == "fail"
+    assert rep.detail == "mismatches: [(5, 3)]"
 
 
 def test_ppd_power_budget():
