@@ -5,7 +5,7 @@ subgroups and elusive groups, the supporting effective number theory, and a
 catalog of verified witness groups.
 """
 
-__version__ = "0.1.2"
+__version__ = "0.1.3"
 
 from .perm import Permutation, compose, cycle_type, inverse, is_derangement
 from .group import (

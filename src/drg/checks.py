@@ -738,8 +738,7 @@ def analyze(source: str | Path | GroupFile, budgets: Budgets | None = None,
         report["clique_lower_bound_method"] = "sampled"
 
     if within_budget:
-        r = max_semiregular_order(G, budgets.elements,
-                                  min(budgets.extensions, 20_000), budgets.subgroup)
+        r = max_semiregular_order(G, budgets.elements, budgets.extensions, budgets.subgroup)
         report["max_semiregular_order"] = r.witness.order
         report["max_semiregular_method"] = r.witness.method
         report["max_semiregular_closed"] = r.optimal

@@ -4,10 +4,23 @@ A subgroup is semiregular when its only element with a fixed point is the
 identity; its order then divides the degree, which is what keeps the
 subgroup searches here small. Elusiveness and the subgroup search read one
 element census of the group: its derangement count and its semiregular
-elements. The subgroup search is a closure BFS that extends a semiregular
-subgroup by one cyclic semiregular subgroup at a time; since every subgroup
-of a semiregular group is semiregular, every semiregular subgroup is
-reachable this way and a closed search is exhaustive.
+elements.
+
+The subgroup search is a breadth-first search that extends a semiregular
+subgroup by one cyclic semiregular subgroup at a time. Every subgroup of a
+semiregular group is semiregular, so every semiregular subgroup is reachable
+this way, and each pruning below keeps a closed search exhaustive:
+
+- one generator per cyclic subgroup: <K, p> = <K, q> whenever <p> = <q>;
+- one root per G-conjugacy class of cyclic subgroups: conjugation preserves
+  order and semiregularity, and a conjugate of any nontrivial semiregular
+  subgroup contains a root;
+- inherited failures: a subgroup containing K takes no q whose join with K
+  is not semiregular, since its own join with q would contain that one;
+- a stop at the degree, the largest order a semiregular subgroup can have.
+
+A join is built by coset extension from K and every new element is tested
+for a fixed point.
 """
 
 from __future__ import annotations
@@ -15,6 +28,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd
+from operator import eq
+
 from .group import (
     DEFAULT_ELEMENT_BUDGET,
     DEFAULT_SUBGROUP_BUDGET,
@@ -25,7 +41,7 @@ from .group import (
     close_subgroup,
 )
 from .numth import factorize, is_prime
-from .perm import Permutation, PermError, compose, cycle_type, is_derangement
+from .perm import Permutation, PermError, compose, cycle_type, inverse, is_derangement
 
 DEFAULT_EXTENSION_BUDGET = 400_000
 
@@ -155,38 +171,45 @@ def is_elusive(G: PermGroup,
 # -- maximum semiregular order --------------------------------------------------
 
 
-def _close_semiregular(gen_images: list[tuple[int, ...]], degree: int,
-                       cap: int) -> list[tuple[int, ...]] | None:
-    """Closure of the generators, aborting unless it stays a semiregular set.
+def _extend_semiregular(elems: list[tuple[int, ...]], gen_images: list[tuple[int, ...]],
+                        q: tuple[int, ...], cap: int) -> list[tuple[int, ...]] | None:
+    """<K, q> by coset extension from K, or None unless it stays semiregular.
 
-    Returns None as soon as the closure exceeds ``cap`` elements or contains
-    a non-identity element with a fixed point.
+    ``elems`` lists a semiregular subgroup K, identity first; ``gen_images``
+    generate K and q lies outside it. The join is grown Dimino-style as a
+    union of cosets rK: a product s r (s a generator of <K, q>, r a coset
+    representative) outside the union so far brings in its whole coset, and
+    the union is a group once every such product lies in it. Every element
+    of a new coset is non-identity and gets the fixed-point test; the routine
+    returns None at the first fixed point, or when the join would exceed
+    ``cap`` elements. The returned list starts with K's elements.
     """
-    identity = tuple(range(degree))
-    elems = {identity}
-    frontier = [identity]
-    while frontier:
-        new_frontier = []
-        for t in frontier:
-            for g in gen_images:
-                prod = tuple(g[i] for i in t)
-                if prod in elems:
-                    continue
-                if len(elems) >= cap:
-                    return None
-                if any(i == j for i, j in enumerate(prod)):
-                    return None
-                elems.add(prod)
-                new_frontier.append(prod)
-        frontier = new_frontier
-    return sorted(elems)
+    points = range(len(q))
+    members = set(elems)
+    out = list(elems)
+    gens = [*gen_images, q]
+    todo = [q]
+    while todo:
+        r = todo.pop()
+        if r in members:
+            continue
+        if len(out) + len(elems) > cap:
+            return None
+        for k in elems:
+            x = tuple(r[j] for j in k)
+            if any(map(eq, x, points)):
+                return None
+            members.add(x)
+            out.append(x)
+        todo.extend(tuple(s[j] for j in r) for s in gens)
+    return out
 
 
 @dataclass
 class MaxSemiregularResult:
     witness: SemiregularWitness
     optimal: bool
-    nodes: int
+    nodes: int  # extension attempts
     semiregular_element_count: int = 0
 
 
@@ -197,22 +220,42 @@ def max_semiregular_order(G: PermGroup,
                           seeds: tuple = ()) -> MaxSemiregularResult:
     """Largest semiregular subgroup found, with provenance.
 
-    Search order: caller-provided seed subgroups (checked, never trusted),
+    Search order: caller-provided seed subgroups (checked, never trusted: a
+    seed must lie in G and pass ``validate_semiregular``),
     then every cyclic subgroup generated by a semiregular element of the
-    element census, then a breadth-first closure over semiregular subgroups
-    extended one cyclic subgroup at a time. An extension joins the least
-    generator of a cyclic subgroup: <K, p> = <K, q> whenever <p> = <q>. The
-    optimality flag is set only when the census was complete, the closure
-    search exhausted its frontier within budget, and the subgroup budget
-    reached the degree (below it, a closure cut off by the budget cannot be
-    told from one that is not semiregular); a capped run reports the best
-    witness found, never a negative claim.
+    element census, then a breadth-first search over semiregular subgroups
+    extended one cyclic subgroup at a time. Each pruning keeps it exact:
+
+    - Cyclic subgroups come from one walk over the powers of their least
+      generator; an extension joins only that generator, since <K, p> =
+      <K, q> whenever <p> = <q>.
+    - The search starts from one cyclic subgroup per G-conjugacy class (and
+      from the seeds). Conjugation preserves order and semiregularity, and
+      every nontrivial semiregular H contains a cyclic subgroup C; if C^g is
+      the root of C's class then H^g contains it and is reached from it.
+    - A child tries only the generators whose join with its parent was
+      semiregular: if <K, q> is not semiregular, no <K', q> with K' >= K is,
+      since it contains <K, q> and subgroups of semiregular groups are
+      semiregular. A subgroup reached from several parents keeps the first
+      list; each parent's list holds every q the subgroup can take.
+    - The search stops once the best order equals the degree, since a
+      semiregular order divides it.
+
+    The optimality flag is set when the best order is the degree, or when
+    the census was complete, the search exhausted its frontier within the
+    extension budget, and the subgroup budget reached the degree (below it,
+    a join cut off by the budget cannot be told from one that is not
+    semiregular); a capped run reports the best witness found, never a
+    negative claim.
     """
     n = G.degree
     best = SemiregularWitness(G.name, [Permutation.identity(n)], 1, "cyclic-scan")
     nodes = 0
 
+    valid_seeds = []
     for seed_gens, label in seeds:
+        if not all(g in G for g in seed_gens):
+            continue
         elems = close_subgroup(list(seed_gens), n, subgroup_budget)
         if elems is None:
             continue
@@ -221,6 +264,7 @@ def max_semiregular_order(G: PermGroup,
             validate_semiregular(witness, n, subgroup_budget)
         except WitnessError:
             continue
+        valid_seeds.append(list(seed_gens))
         if len(elems) > best.order:
             best = witness
 
@@ -228,48 +272,106 @@ def max_semiregular_order(G: PermGroup,
         _, semi_elems = element_census(G, element_budget)
     except BudgetError:
         return MaxSemiregularResult(best, False, nodes)
+    count = len(semi_elems)
 
-    # closure BFS over semiregular subgroups
-    cap = min(n, subgroup_budget) + 1
-    visited: set[frozenset] = set()
-    queue: deque[tuple[list[Permutation], frozenset]] = deque()
-
-    def push(gens: list[Permutation], elems: list[tuple[int, ...]], method: str) -> None:
-        nonlocal best
-        key = frozenset(elems)
-        if key in visited:
-            return
-        visited.add(key)
-        if len(elems) > best.order:
-            best = SemiregularWitness(G.name, list(gens), len(elems), method)
-        queue.append((gens, key))
-
+    # cyclic subgroups: least generator (census index) -> sorted census
+    # indices of its non-identity elements; every power of a semiregular
+    # element is semiregular, so the walk needs no fixed-point test
+    identity = tuple(range(n))
+    images = [p.images for p in semi_elems]
+    index = {x: i for i, x in enumerate(images)}
+    least: list[int | None] = [None] * count
+    cyclic: dict[int, tuple[int, ...]] = {}
     coprime = semiregular_primes(G) if G.is_transitive() else set()
-    for p in semi_elems:
-        method = "order-coprime" if p.order() in coprime else "cyclic-scan"
-        # <p> is semiregular of order at most n, so this closure always succeeds
-        push([p], _close_semiregular([p.images], n, n + 1), method)
-    # only the least generator of each cyclic subgroup was queued
-    cyclic_gens = [gens[0] for gens, _ in queue]
-    for seed_gens, label in seeds:
-        elems = _close_semiregular([g.images for g in seed_gens], n, cap)
-        if elems is not None:
-            push(list(seed_gens), elems, label)
+    for i, p in enumerate(semi_elems):
+        if least[i] is not None:
+            continue
+        powers = []
+        x = p.images
+        while x != identity:
+            powers.append(index[x])
+            x = tuple(p.images[j] for j in x)
+        order = len(powers) + 1
+        for k, j in enumerate(powers, 1):
+            if gcd(k, order) == 1:
+                least[j] = i
+        cyclic[i] = tuple(sorted(powers))
+        if order > best.order:
+            method = "order-coprime" if order in coprime else "cyclic-scan"
+            best = SemiregularWitness(G.name, [p], order, method)
+    if best.order == n:
+        return MaxSemiregularResult(best, True, nodes, count)
+
+    # one root per G-conjugacy class of cyclic subgroups, the least one
+    conjugators = [(g.images, inverse(g).images) for g in G.generators]
+    roots = []
+    seen: set[int] = set()
+    for i in cyclic:
+        if i in seen:
+            continue
+        roots.append(i)
+        seen.add(i)
+        stack = [i]
+        while stack:
+            x = images[stack.pop()]
+            for g, g_inv in conjugators:
+                j = least[index[tuple(g_inv[x[g[t]]] for t in range(n))]]
+                if j not in seen:
+                    seen.add(j)
+                    stack.append(j)
+
+    cap = min(n, subgroup_budget)
+    cyclic_gens = [semi_elems[i] for i in cyclic]
+    visited: set[tuple[int, ...]] = set()
+    queue: deque[tuple[list[Permutation], tuple[int, ...], list[Permutation]]] = deque()
+    for i in roots:
+        visited.add(cyclic[i])
+        queue.append(([semi_elems[i]], cyclic[i], cyclic_gens))
+    for seed_gens in valid_seeds:
+        # the seed joins one generator at a time from the trivial group
+        seed_elems = [identity]
+        for k, g in enumerate(seed_gens):
+            if g.images not in seed_elems:
+                seed_elems = _extend_semiregular(
+                    seed_elems, [h.images for h in seed_gens[:k]], g.images, cap)
+                if seed_elems is None:
+                    break
+        if seed_elems is None:
+            continue
+        key = tuple(sorted(index[x] for x in seed_elems[1:]))
+        if key and key not in visited:
+            visited.add(key)
+            queue.append((seed_gens, key, cyclic_gens))
 
     while queue:
-        gens, key = queue.popleft()
+        gens, key, candidates = queue.popleft()
+        elems = [identity, *(images[j] for j in key)]
+        members = set(elems)
         gen_images = [g.images for g in gens]
-        for q in cyclic_gens:
-            if q.images in key:
+        joinable: list[Permutation] = []
+        children = []
+        for q in candidates:
+            if q.images in members:
                 continue
             nodes += 1
             if nodes > extension_budget:
-                return MaxSemiregularResult(best, False, nodes, len(semi_elems))
-            elems = _close_semiregular(gen_images + [q.images], n, cap)
-            if elems is not None and len(elems) <= n:
-                push(gens + [q], elems, "backtrack")
+                return MaxSemiregularResult(best, False, nodes, count)
+            joined = _extend_semiregular(elems, gen_images, q.images, cap)
+            if joined is None:
+                continue
+            joinable.append(q)
+            child = tuple(sorted(index[x] for x in joined[1:]))
+            if child in visited:
+                continue
+            visited.add(child)
+            children.append((gens + [q], child))
+            if len(joined) > best.order:
+                best = SemiregularWitness(G.name, gens + [q], len(joined), "backtrack")
+                if best.order == n:
+                    return MaxSemiregularResult(best, True, nodes, count)
+        queue.extend((child_gens, child, joinable) for child_gens, child in children)
 
-    return MaxSemiregularResult(best, subgroup_budget >= n, nodes, len(semi_elems))
+    return MaxSemiregularResult(best, subgroup_budget >= n, nodes, count)
 
 
 # -- block lifting ---------------------------------------------------------------

@@ -3,10 +3,13 @@ import random
 
 import pytest
 
+from drg.catalog import catalog_index, catalog_load
+from drg.checks import Budgets
 from drg.group import BlockSystem, PermGroup, close_subgroup
 from drg.perm import Permutation, compose, is_derangement, parse_cycles
 from drg.semireg import (
     ElusivenessReport,
+    _extend_semiregular,
     SemiregularWitness,
     WitnessError,
     is_elusive,
@@ -141,7 +144,8 @@ def test_max_semiregular_a5_deg6():
 
 def test_max_semiregular_brute_force_small():
     # oracle: all subgroups of order dividing n via join closure, test each
-    for G in (cyclic(6), sym(4), alt(4), alt(5), a5_on_6()):
+    catalog = [catalog_load(name).group for name in ("D6:6", "Q8:8", "PSL2(7):8")]
+    for G in (cyclic(6), sym(4), alt(4), alt(5), a5_on_6(), *catalog):
         n = G.degree
         elements = [Permutation(t) for t in G.element_images()]
         subgroups = {frozenset({tuple(range(n))})}
@@ -169,12 +173,83 @@ def test_max_semiregular_brute_force_small():
         assert r.witness.order == best, (G.name, r.witness.order, best)
 
 
+def _join_by_definition(K_gens, q, n):
+    """Element set of <K, q> if it is semiregular, else None, from close_subgroup."""
+    closed = close_subgroup(K_gens + [q], n, n)
+    if closed is None:
+        return None
+    if any(not p.is_identity() and not is_derangement(p) for p in closed):
+        return None
+    return {p.images for p in closed}
+
+
+def test_extend_semiregular_matches_close_subgroup():
+    # K runs over the cyclic semiregular subgroups and their semiregular
+    # joins, q over every element of G outside K
+    joins = semiregular = 0
+    for rec in catalog_index():
+        if rec["order"] > 360:
+            continue
+        G = catalog_load(rec["name"]).group
+        n = G.degree
+        elements = [Permutation(t) for t in G.element_images()]
+        subgroups = {}
+        for p in elements:
+            if not p.is_identity() and is_semiregular_element(p):
+                key = frozenset(q.images for q in close_subgroup([p], n, n))
+                subgroups.setdefault(key, [p])
+        level = list(subgroups.items())
+        for depth in range(2):
+            found = []
+            for key, K_gens in level:
+                K = [tuple(range(n))] + sorted(key - {tuple(range(n))})
+                for q in elements:
+                    if q.images in key:
+                        continue
+                    got = _extend_semiregular(K, [g.images for g in K_gens], q.images, n)
+                    want = _join_by_definition(K_gens, q, n)
+                    assert (got is None) == (want is None), (rec["name"], K_gens, q)
+                    joins += 1
+                    if got is None:
+                        continue
+                    semiregular += 1
+                    assert len(got) == len(set(got)) and set(got) == want
+                    assert got[:len(K)] == K
+                    if depth == 0 and frozenset(want) not in subgroups:
+                        subgroups[frozenset(want)] = K_gens + [q]
+                        found.append((frozenset(want), K_gens + [q]))
+            level = found
+    assert joins > 10_000 and semiregular > 100
+
+
+def test_max_semiregular_closes_on_the_catalog_at_analyze_budgets():
+    b = Budgets()
+    expected = {"A8:8": 8, "M11:11": 11, "M12:12": 12, "PSL2(11):12": 12,
+                "PSp4(3):36": 9, "PSp4(3):40": 20}
+    for name, order in expected.items():
+        G = catalog_load(name).group
+        r = max_semiregular_order(G, b.elements, b.extensions, b.subgroup)
+        assert r.optimal, name
+        assert r.witness.order == order, (name, r.witness.order)
+        validate_semiregular(r.witness, G.degree, b.subgroup)
+
+
 def test_witness_seeds_checked_not_trusted():
     # a non-semiregular seed must be ignored
     G = sym(4)
     bad_seed = ([parse_cycles("(1,2)", 4)], "catalog")
     r = max_semiregular_order(G, seeds=(bad_seed,))
     assert r.witness.order == 4  # the true maximum (a regular C4 or V4)
+
+
+def test_seeds_outside_the_group_are_ignored():
+    # both are semiregular but odd, so not in A5:6: the 6-cycle would be
+    # taken as the maximum, and the involution joined with elements of A5
+    # makes semiregular groups of order 6 outside A5
+    for cycles in ("(0,1,2,3,4,5)", "(0,1)(2,3)(4,5)"):
+        seed = ([parse_cycles(cycles, 6)], "catalog")
+        r = max_semiregular_order(a5_on_6(), seeds=(seed,))
+        assert r.optimal and r.witness.order == 3, cycles
 
 
 def test_validate_semiregular_rejects_bad():
