@@ -31,6 +31,7 @@ from .constructions import (
 )
 from .fields import GF, Matrix, mat_order, mat_rank, preserves_quadratic, preserves_symplectic
 from .graph import (
+    DEFAULT_NODE_BUDGET,
     CliqueCertificate,
     CocliqueCertificate,
     clique_coclique_audit,
@@ -41,7 +42,8 @@ from .graph import (
     validate_clique,
     validate_coclique,
 )
-from .group import BudgetError, PermGroup, blocks_and_primitivity, close_subgroup, coset_action
+from .group import (DEFAULT_DEGREE_BUDGET, DEFAULT_ELEMENT_BUDGET, DEFAULT_SUBGROUP_BUDGET,
+                    BudgetError, PermGroup, blocks_and_primitivity, close_subgroup, coset_action)
 from .numth import (
     cyclotomic_value,
     divisors,
@@ -54,7 +56,9 @@ from .numth import (
 )
 from .perm import Permutation, is_derangement
 from .semireg import (
+    DEFAULT_EXTENSION_BUDGET,
     SemiregularWitness,
+    common_cycle_length,
     element_census,
     is_elusive,
     max_semiregular_order,
@@ -70,11 +74,11 @@ REPORT_SCHEMA_VERSION = 1
 
 @dataclass
 class Budgets:
-    elements: int = 200_000
-    nodes: int = 200_000
-    subgroup: int = 10_000
-    degree: int = 10_000
-    extensions: int = 400_000
+    elements: int = DEFAULT_ELEMENT_BUDGET
+    nodes: int = DEFAULT_NODE_BUDGET
+    subgroup: int = DEFAULT_SUBGROUP_BUDGET
+    degree: int = DEFAULT_DEGREE_BUDGET
+    extensions: int = DEFAULT_EXTENSION_BUDGET
 
     def to_json_dict(self) -> dict:
         return {
@@ -524,10 +528,10 @@ def _check_psp43(budgets: Budgets):
         return "fail", {}, None, "degree-36 action is not primitive"
     # uncached: a cached census would keep this one-off group alive after the check
     _, semi_elems = element_census.__wrapped__(G36, budgets.elements)
-    witness = next((p for p in semi_elems if p.order() == 9), None)
+    witness = next((x for x in semi_elems if common_cycle_length(x) == 9), None)
     if witness is None:
         return "fail", {}, None, "no order-9 semiregular element found"
-    w = SemiregularWitness("PSp4(3):36", [witness], 9, "cyclic-scan")
+    w = SemiregularWitness("PSp4(3):36", [Permutation(witness)], 9, "cyclic-scan")
     validate_semiregular(w, 36, budgets.subgroup)
     shipped = catalog_load("PSp4(3):36").subgroups["semiregular9"]
     shipped_w = SemiregularWitness("PSp4(3):36", shipped, 9, "catalog")

@@ -137,11 +137,6 @@ class WreathSpec:
         return self.base.degree ** self.top.degree
 
 
-def wreath_element(spec: WreathSpec, h_list: list[Permutation], a: Permutation) -> Permutation:
-    """The element (h_1, ..., h_k)a as a permutation of the product domain."""
-    return product_action_perm(h_list, a)
-
-
 def wreath_product_action(spec: WreathSpec,
                           degree_budget: int = DEFAULT_DEGREE_BUDGET) -> PermGroup:
     """base wr top acting on Delta^k; order |base|^k * |top|."""

@@ -434,11 +434,6 @@ class ExtensionBasis:
             acc = big.add(acc, big.mul(c, b))
         return acc
 
-    def subfield_gf(self) -> GF:
-        """A standalone GF(q) whose elements index the subfield deterministically."""
-        pk = is_prime_power(self.q)
-        return GF(pk[0], pk[1])
-
     def mult_matrix(self, lam, field_q: GF) -> Matrix:
         """Multiplication by lam on the big field, as an m x m matrix over GF(q).
 

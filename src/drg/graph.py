@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .group import DEFAULT_ELEMENT_BUDGET, BudgetError, PermGroup
-from .perm import Permutation, PermError
+from .perm import Permutation, PermError, has_fixed_point
 
 DEFAULT_NODE_BUDGET = 200_000
 
@@ -27,20 +27,22 @@ DEFAULT_NODE_BUDGET = 200_000
 @dataclass
 class DerangementSet:
     group: PermGroup
-    members: list[Permutation]
+    images: list[tuple[int, ...]]  # sorted
 
     @property
     def count(self) -> int:
-        return len(self.members)
+        return len(self.images)
+
+    @property
+    def members(self) -> list[Permutation]:
+        return [Permutation(t) for t in self.images]
 
 
 def derangement_set(G: PermGroup, budget: int = DEFAULT_ELEMENT_BUDGET) -> DerangementSet:
     """All fixed-point-free elements of G (enumerated; needs order <= budget)."""
     if not G.is_transitive():
         raise PermError("derangement graphs are defined here for transitive groups")
-    members = [p for p in G.elements(budget) if all(i != j for i, j in enumerate(p.images))]
-    members.sort()
-    return DerangementSet(G, members)
+    return DerangementSet(G, [t for t in G.element_images(budget) if not has_fixed_point(t)])
 
 
 def are_adjacent(g: Permutation, h: Permutation) -> bool:
@@ -249,6 +251,8 @@ def _max_clique_search(adj: _LazyAdjacency, universe: int, stats: SearchStats,
     def expand(chosen: list[int], P: int) -> None:
         nonlocal best
         stats.tick()
+        if stop_at is not None and len(best) >= stop_at:
+            return  # a warm start already at the ceiling needs no colour sort
         ordered = color_sort(P)
         while ordered:
             v, c = ordered.pop()
@@ -296,9 +300,7 @@ def find_k_clique(G: PermGroup, k: int,
     identity = Permutation.identity(G.degree)
     if k == 1:
         return CliqueSearchResult("found", CliqueCertificate([identity]), 0)
-    dset = derangement_set(G, element_budget)
-    images = [p.images for p in dset.members]
-    adj = _LazyAdjacency(images)
+    adj = _LazyAdjacency(derangement_set(G, element_budget).images)
     stats = SearchStats(budget=node_budget)
     try:
         got = _find_clique_of_size(adj, adj.universe, k - 1, stats)
@@ -306,7 +308,7 @@ def find_k_clique(G: PermGroup, k: int,
         return CliqueSearchResult("unknown", None, stats.nodes)
     if got is None:
         return CliqueSearchResult("none", None, stats.nodes)
-    vertices = [identity] + [dset.members[i] for i in sorted(got)]
+    vertices = [identity] + [Permutation(adj.images[i]) for i in sorted(got)]
     cert = CliqueCertificate(vertices)
     validate_clique(cert)
     return CliqueSearchResult("found", cert, stats.nodes)
@@ -327,12 +329,10 @@ def max_clique(G: PermGroup,
     The optimality flag is True only when the search closed within budget.
     """
     identity = Permutation.identity(G.degree)
-    dset = derangement_set(G, element_budget)
-    images = [p.images for p in dset.members]
-    adj = _LazyAdjacency(images)
+    adj = _LazyAdjacency(derangement_set(G, element_budget).images)
     stats = SearchStats(budget=node_budget)
     best, closed = _max_clique_search(adj, adj.universe, stats)
-    vertices = [identity] + [dset.members[i] for i in sorted(best)]
+    vertices = [identity] + [Permutation(adj.images[i]) for i in sorted(best)]
     cert = CliqueCertificate(vertices)
     validate_clique(cert)
     return MaxCliqueResult(cert, closed, stats.nodes)
@@ -357,15 +357,11 @@ def max_intersecting_family(G: PermGroup,
     family reaches |G| / w.
     """
     identity = Permutation.identity(G.degree)
-    elements = [Permutation(t) for t in G.element_images(element_budget)]
-    fixers = [p for p in elements if not p.is_identity()
-              and any(i == j for i, j in enumerate(p.images))]
-    images = [p.images for p in fixers]
-    adj = _LazyAdjacency(images, complement=True)
-
-    stabilizer = [i for i, p in enumerate(fixers) if p.images[0] == 0]
+    # the identity sorts first
+    fixers = [t for t in G.element_images(element_budget)[1:] if has_fixed_point(t)]
+    adj = _LazyAdjacency(fixers, complement=True)
     # the stabilizer of 0 is intersecting and pairwise-compatible, a valid seed
-    initial = stabilizer
+    initial = [i for i, t in enumerate(fixers) if t[0] == 0]
 
     stop_at = None
     if clique_size_hint:
@@ -374,7 +370,7 @@ def max_intersecting_family(G: PermGroup,
     stats = SearchStats(budget=node_budget)
     best, closed = _max_clique_search(adj, adj.universe, stats, initial=initial,
                                       stop_at=stop_at)
-    vertices = [identity] + [fixers[i] for i in sorted(best)]
+    vertices = [identity] + [Permutation(fixers[i]) for i in sorted(best)]
     cert = CocliqueCertificate(vertices)
     validate_coclique(cert)
     optimal = closed

@@ -4,7 +4,8 @@ The chain (base and strong generating set) is built once, on demand, by a
 deterministic Schreier-Sims: base points are chosen greedily as the smallest
 point moved by a remaining strong generator, and all bookkeeping iterates
 points in increasing order, so two builds from the same generator list agree
-element for element.
+element for element. Every enumeration of the group reads one walk of image
+tuples off the chain, ``iter_images``.
 """
 
 from __future__ import annotations
@@ -35,6 +36,11 @@ class _ChainLevel:
         self.base = base
         self.added: list[Permutation] = []
         self.transversal: dict[int, Permutation] = {}
+
+
+def _times_each(walk, transversal: list[tuple[int, ...]]):
+    """Each element of ``walk`` followed by each transversal element, in turn."""
+    return (tuple(map(u.__getitem__, p)) for p in walk for u in transversal)
 
 
 class PermGroup:
@@ -160,32 +166,30 @@ class PermGroup:
     def __contains__(self, p: Permutation) -> bool:
         return self.membership(p)
 
-    def elements(self, budget: int = DEFAULT_ELEMENT_BUDGET):
-        """Yield each group element exactly once, streamed off the chain."""
+    def iter_images(self, budget: int = DEFAULT_ELEMENT_BUDGET):
+        """Yield each element's image tuple exactly once, streamed off the chain.
+
+        An element factors as (deeper levels) then u_i, so the walk runs from
+        the deepest level and varies the base level fastest. The budget check,
+        like the walk, runs on the first request for an element.
+        """
         if self.order() > budget:
             raise BudgetError(
                 f"order {self.order()} exceeds enumeration budget {budget}"
             )
-        chain = self._chain
-        identity = Permutation.identity(self.degree)
+        walk = [tuple(range(self.degree))]
+        for level in reversed(self._chain):
+            walk = _times_each(walk, [level.transversal[x].images
+                                      for x in sorted(level.transversal)])
+        yield from walk
 
-        def rec(idx: int, prefix: Permutation):
-            if idx < 0:
-                yield prefix
-                return
-            level = chain[idx]
-            for x in sorted(level.transversal):
-                # g factors as (deeper part) then u_idx, innermost level last
-                yield from rec(idx - 1, compose(prefix, level.transversal[x]))
-
-        if not chain:
-            yield identity
-            return
-        yield from rec(len(chain) - 1, identity)
+    def elements(self, budget: int = DEFAULT_ELEMENT_BUDGET):
+        """Each group element exactly once, lazily, as a Permutation."""
+        return map(Permutation, self.iter_images(budget))
 
     def element_images(self, budget: int = DEFAULT_ELEMENT_BUDGET) -> list[tuple[int, ...]]:
         """All elements as image tuples, sorted lexicographically."""
-        return sorted(p.images for p in self.elements(budget))
+        return sorted(self.iter_images(budget))
 
     # -- orbits and transitivity --------------------------------------------
 
@@ -344,9 +348,6 @@ class BlockSystem:
             out[b].append(x)
         return out
 
-    def block_size(self) -> int:
-        return self.degree // self.num_blocks
-
     def is_invariant_under(self, g: Permutation) -> bool:
         """g maps blocks to blocks: block_of(x^g) depends only on block_of(x)."""
         image_of_block: dict[int, int] = {}
@@ -407,10 +408,6 @@ def blocks_and_primitivity(G: PermGroup) -> tuple[list[BlockSystem], bool]:
             seen.add(sys_a)
             systems.append(sys_a)
     return systems, not systems
-
-
-def is_primitive(G: PermGroup) -> bool:
-    return blocks_and_primitivity(G)[1]
 
 
 # -- coset actions -------------------------------------------------------------
@@ -476,9 +473,6 @@ class CosetAction:
             images.append(self._key_to_index[key])
         return Permutation(images)
 
-    def point_to_coset_rep(self, i: int) -> Permutation:
-        return self._reps[i]
-
 
 def coset_action(G: PermGroup, H_gens, degree_budget: int = DEFAULT_DEGREE_BUDGET,
                  subgroup_budget: int = DEFAULT_SUBGROUP_BUDGET, name: str = "") -> CosetAction:
@@ -486,18 +480,6 @@ def coset_action(G: PermGroup, H_gens, degree_budget: int = DEFAULT_DEGREE_BUDGE
 
 
 # -- block action (for lifting) ------------------------------------------------
-
-
-def block_action(G: PermGroup, system: BlockSystem) -> tuple[PermGroup, list[Permutation]]:
-    """Image of G acting on the blocks of ``system``, with generator images."""
-    if system.degree != G.degree:
-        raise PermError("block system degree mismatch")
-    reps = [blk[0] for blk in system.blocks()]
-    images = []
-    for g in G.generators:
-        img = [system.block_of[g.images[r]] for r in reps]
-        images.append(Permutation(img))
-    return PermGroup(images, system.num_blocks), images
 
 
 def block_image(g: Permutation, system: BlockSystem) -> Permutation:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from math import lcm
+from operator import eq
 
 
 class PermError(ValueError):
@@ -132,8 +133,13 @@ def cycle_type(p: Permutation) -> tuple[int, ...]:
     return tuple(sorted(len(c) for c in p.cycles()))
 
 
+def has_fixed_point(images: tuple[int, ...]) -> bool:
+    """True iff the image tuple sends some point to itself."""
+    return any(map(eq, images, range(len(images))))
+
+
 def is_derangement(p: Permutation) -> bool:
-    return all(i != j for i, j in enumerate(p.images))
+    return not has_fixed_point(p.images)
 
 
 def fixed_points(p: Permutation) -> list[int]:

@@ -29,7 +29,6 @@ from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
-from operator import eq
 
 from .group import (
     DEFAULT_ELEMENT_BUDGET,
@@ -41,7 +40,7 @@ from .group import (
     close_subgroup,
 )
 from .numth import factorize, is_prime
-from .perm import Permutation, PermError, compose, cycle_type, inverse, is_derangement
+from .perm import Permutation, PermError, compose, has_fixed_point, inverse, is_derangement
 
 DEFAULT_EXTENSION_BUDGET = 400_000
 
@@ -68,10 +67,27 @@ class WitnessError(ValueError):
     """A semiregular witness failed re-verification."""
 
 
+def common_cycle_length(images: tuple[int, ...]) -> int | None:
+    """The one length all cycles of an image tuple share (its order), or None."""
+    seen = [False] * len(images)
+    length = 0
+    for start in range(len(images)):
+        if seen[start]:
+            continue
+        k, j = 0, start
+        while not seen[j]:
+            seen[j] = True
+            j = images[j]
+            k += 1
+        if length and k != length:
+            return None
+        length = k
+    return length
+
+
 def is_semiregular_element(p: Permutation) -> bool:
     """True iff all cycles of p share one length, i.e. <p> is semiregular."""
-    lengths = cycle_type(p)
-    return lengths[0] == lengths[-1]
+    return common_cycle_length(p.images) is not None
 
 
 def is_semiregular_subgroup(H_gens, degree: int,
@@ -130,21 +146,22 @@ class ElusivenessReport:
 
 
 @lru_cache(maxsize=1)
-def element_census(G: PermGroup, element_budget: int) -> tuple[int, tuple[Permutation, ...]]:
-    """(derangement count, sorted non-identity semiregular elements) of G.
+def element_census(G: PermGroup, element_budget: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(derangement count, sorted image tuples of the non-identity semiregular elements).
 
-    One pass; raises BudgetError when |G| exceeds the budget. Only derangements
-    get the cycle-type test, since every non-identity semiregular element is
-    one. Only the latest group's census is kept: a larger cache would hold the
+    One pass over G's image walk, with no Permutation built; raises
+    BudgetError when |G| exceeds the budget. Only derangements get the
+    cycle-length test, since every non-identity semiregular element is one.
+    Only the latest group's census is kept: a larger cache would hold the
     semiregular elements of every group its callers keep alive.
     """
     count = 0
     semiregular = []
-    for p in G.elements(element_budget):
-        if is_derangement(p):
+    for x in G.iter_images(element_budget):
+        if not has_fixed_point(x):
             count += 1
-            if is_semiregular_element(p):
-                semiregular.append(p)
+            if common_cycle_length(x) is not None:
+                semiregular.append(x)
     return count, tuple(sorted(semiregular))
 
 
@@ -162,10 +179,11 @@ def is_elusive(G: PermGroup,
     except BudgetError:
         return ElusivenessReport(G.name, None, None, None, primes,
                                  "order exceeds enumeration budget")
-    witness = next((p for p in semi_elems if is_prime(p.order())), None)
+    witness = next((x for x in semi_elems if is_prime(common_cycle_length(x))), None)
     if witness is None:
         return ElusivenessReport(G.name, True, None, None, primes)
-    return ElusivenessReport(G.name, False, witness, witness.order(), primes)
+    return ElusivenessReport(G.name, False, Permutation(witness),
+                             common_cycle_length(witness), primes)
 
 
 # -- maximum semiregular order --------------------------------------------------
@@ -184,7 +202,6 @@ def _extend_semiregular(elems: list[tuple[int, ...]], gen_images: list[tuple[int
     returns None at the first fixed point, or when the join would exceed
     ``cap`` elements. The returned list starts with K's elements.
     """
-    points = range(len(q))
     members = set(elems)
     out = list(elems)
     gens = [*gen_images, q]
@@ -197,7 +214,7 @@ def _extend_semiregular(elems: list[tuple[int, ...]], gen_images: list[tuple[int
             return None
         for k in elems:
             x = tuple(r[j] for j in k)
-            if any(map(eq, x, points)):
+            if has_fixed_point(x):
                 return None
             members.add(x)
             out.append(x)
@@ -216,23 +233,21 @@ class MaxSemiregularResult:
 def max_semiregular_order(G: PermGroup,
                           element_budget: int = DEFAULT_ELEMENT_BUDGET,
                           extension_budget: int = DEFAULT_EXTENSION_BUDGET,
-                          subgroup_budget: int = DEFAULT_SUBGROUP_BUDGET,
-                          seeds: tuple = ()) -> MaxSemiregularResult:
+                          subgroup_budget: int = DEFAULT_SUBGROUP_BUDGET) -> MaxSemiregularResult:
     """Largest semiregular subgroup found, with provenance.
 
-    Search order: caller-provided seed subgroups (checked, never trusted: a
-    seed must lie in G and pass ``validate_semiregular``),
-    then every cyclic subgroup generated by a semiregular element of the
-    element census, then a breadth-first search over semiregular subgroups
-    extended one cyclic subgroup at a time. Each pruning keeps it exact:
+    Search order: every cyclic subgroup generated by a semiregular element of
+    the element census, then a breadth-first search over semiregular
+    subgroups extended one cyclic subgroup at a time. Each pruning keeps it
+    exact:
 
     - Cyclic subgroups come from one walk over the powers of their least
       generator; an extension joins only that generator, since <K, p> =
       <K, q> whenever <p> = <q>.
-    - The search starts from one cyclic subgroup per G-conjugacy class (and
-      from the seeds). Conjugation preserves order and semiregularity, and
-      every nontrivial semiregular H contains a cyclic subgroup C; if C^g is
-      the root of C's class then H^g contains it and is reached from it.
+    - The search starts from one cyclic subgroup per G-conjugacy class.
+      Conjugation preserves order and semiregularity, and every nontrivial
+      semiregular H contains a cyclic subgroup C; if C^g is the root of C's
+      class then H^g contains it and is reached from it.
     - A child tries only the generators whose join with its parent was
       semiregular: if <K, q> is not semiregular, no <K', q> with K' >= K is,
       since it contains <K, q> and subgroups of semiregular groups are
@@ -251,46 +266,28 @@ def max_semiregular_order(G: PermGroup,
     n = G.degree
     best = SemiregularWitness(G.name, [Permutation.identity(n)], 1, "cyclic-scan")
     nodes = 0
-
-    valid_seeds = []
-    for seed_gens, label in seeds:
-        if not all(g in G for g in seed_gens):
-            continue
-        elems = close_subgroup(list(seed_gens), n, subgroup_budget)
-        if elems is None:
-            continue
-        witness = SemiregularWitness(G.name, list(seed_gens), len(elems), label)
-        try:
-            validate_semiregular(witness, n, subgroup_budget)
-        except WitnessError:
-            continue
-        valid_seeds.append(list(seed_gens))
-        if len(elems) > best.order:
-            best = witness
-
     try:
-        _, semi_elems = element_census(G, element_budget)
+        _, images = element_census(G, element_budget)
     except BudgetError:
         return MaxSemiregularResult(best, False, nodes)
-    count = len(semi_elems)
+    count = len(images)
 
     # cyclic subgroups: least generator (census index) -> sorted census
     # indices of its non-identity elements; every power of a semiregular
     # element is semiregular, so the walk needs no fixed-point test
     identity = tuple(range(n))
-    images = [p.images for p in semi_elems]
     index = {x: i for i, x in enumerate(images)}
     least: list[int | None] = [None] * count
     cyclic: dict[int, tuple[int, ...]] = {}
     coprime = semiregular_primes(G) if G.is_transitive() else set()
-    for i, p in enumerate(semi_elems):
+    for i, p in enumerate(images):
         if least[i] is not None:
             continue
         powers = []
-        x = p.images
+        x = p
         while x != identity:
             powers.append(index[x])
-            x = tuple(p.images[j] for j in x)
+            x = tuple(map(p.__getitem__, x))
         order = len(powers) + 1
         for k, j in enumerate(powers, 1):
             if gcd(k, order) == 1:
@@ -298,7 +295,7 @@ def max_semiregular_order(G: PermGroup,
         cyclic[i] = tuple(sorted(powers))
         if order > best.order:
             method = "order-coprime" if order in coprime else "cyclic-scan"
-            best = SemiregularWitness(G.name, [p], order, method)
+            best = SemiregularWitness(G.name, [Permutation(p)], order, method)
     if best.order == n:
         return MaxSemiregularResult(best, True, nodes, count)
 
@@ -321,42 +318,26 @@ def max_semiregular_order(G: PermGroup,
                     stack.append(j)
 
     cap = min(n, subgroup_budget)
-    cyclic_gens = [semi_elems[i] for i in cyclic]
+    cyclic_gens = [images[i] for i in cyclic]
     visited: set[tuple[int, ...]] = set()
-    queue: deque[tuple[list[Permutation], tuple[int, ...], list[Permutation]]] = deque()
+    queue: deque[tuple[list[tuple[int, ...]], tuple[int, ...], list[tuple[int, ...]]]] = deque()
     for i in roots:
         visited.add(cyclic[i])
-        queue.append(([semi_elems[i]], cyclic[i], cyclic_gens))
-    for seed_gens in valid_seeds:
-        # the seed joins one generator at a time from the trivial group
-        seed_elems = [identity]
-        for k, g in enumerate(seed_gens):
-            if g.images not in seed_elems:
-                seed_elems = _extend_semiregular(
-                    seed_elems, [h.images for h in seed_gens[:k]], g.images, cap)
-                if seed_elems is None:
-                    break
-        if seed_elems is None:
-            continue
-        key = tuple(sorted(index[x] for x in seed_elems[1:]))
-        if key and key not in visited:
-            visited.add(key)
-            queue.append((seed_gens, key, cyclic_gens))
+        queue.append(([images[i]], cyclic[i], cyclic_gens))
 
     while queue:
         gens, key, candidates = queue.popleft()
         elems = [identity, *(images[j] for j in key)]
         members = set(elems)
-        gen_images = [g.images for g in gens]
-        joinable: list[Permutation] = []
+        joinable: list[tuple[int, ...]] = []
         children = []
         for q in candidates:
-            if q.images in members:
+            if q in members:
                 continue
             nodes += 1
             if nodes > extension_budget:
                 return MaxSemiregularResult(best, False, nodes, count)
-            joined = _extend_semiregular(elems, gen_images, q.images, cap)
+            joined = _extend_semiregular(elems, gens, q, cap)
             if joined is None:
                 continue
             joinable.append(q)
@@ -366,7 +347,8 @@ def max_semiregular_order(G: PermGroup,
             visited.add(child)
             children.append((gens + [q], child))
             if len(joined) > best.order:
-                best = SemiregularWitness(G.name, gens + [q], len(joined), "backtrack")
+                best = SemiregularWitness(G.name, [Permutation(g) for g in gens + [q]],
+                                          len(joined), "backtrack")
                 if best.order == n:
                     return MaxSemiregularResult(best, True, nodes, count)
         queue.extend((child_gens, child, joinable) for child_gens, child in children)

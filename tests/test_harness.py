@@ -85,16 +85,16 @@ def test_analyze_deterministic():
 
 def test_analyze_enumerates_each_group_once(monkeypatch):
     G = catalog_load("M12:12").group
-    elements = PermGroup.elements
+    walk = PermGroup.iter_images
     yielded = 0
 
     def counted(self, *args, **kwargs):
         nonlocal yielded
-        for p in elements(self, *args, **kwargs):
+        for x in walk(self, *args, **kwargs):
             yielded += 1
-            yield p
+            yield x
 
-    monkeypatch.setattr(PermGroup, "elements", counted)
+    monkeypatch.setattr(PermGroup, "iter_images", counted)
     element_census.cache_clear()
     analyze("M12:12")
     # one census pass, plus the short derangement prefixes of the greedy cliques

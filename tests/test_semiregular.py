@@ -145,7 +145,9 @@ def test_max_semiregular_a5_deg6():
 def test_max_semiregular_brute_force_small():
     # oracle: all subgroups of order dividing n via join closure, test each
     catalog = [catalog_load(name).group for name in ("D6:6", "Q8:8", "PSL2(7):8")]
-    for G in (cyclic(6), sym(4), alt(4), alt(5), a5_on_6(), *catalog):
+    # order 64: a search from the last conjugacy-class root alone finds only 4
+    two_roots = PermGroup([(7, 6, 4, 5, 2, 3, 0, 1), (6, 7, 0, 1, 3, 2, 5, 4)])
+    for G in (cyclic(6), sym(4), alt(4), alt(5), a5_on_6(), *catalog, two_roots):
         n = G.degree
         elements = [Permutation(t) for t in G.element_images()]
         subgroups = {frozenset({tuple(range(n))})}
@@ -234,22 +236,14 @@ def test_max_semiregular_closes_on_the_catalog_at_analyze_budgets():
         validate_semiregular(r.witness, G.degree, b.subgroup)
 
 
-def test_witness_seeds_checked_not_trusted():
-    # a non-semiregular seed must be ignored
-    G = sym(4)
-    bad_seed = ([parse_cycles("(1,2)", 4)], "catalog")
-    r = max_semiregular_order(G, seeds=(bad_seed,))
-    assert r.witness.order == 4  # the true maximum (a regular C4 or V4)
-
-
-def test_seeds_outside_the_group_are_ignored():
-    # both are semiregular but odd, so not in A5:6: the 6-cycle would be
-    # taken as the maximum, and the involution joined with elements of A5
-    # makes semiregular groups of order 6 outside A5
-    for cycles in ("(0,1,2,3,4,5)", "(0,1)(2,3)(4,5)"):
-        seed = ([parse_cycles(cycles, 6)], "catalog")
-        r = max_semiregular_order(a5_on_6(), seeds=(seed,))
-        assert r.optimal and r.witness.order == 3, cycles
+def test_max_semiregular_searches_from_every_conjugacy_class_root():
+    # order 1536 on 12 points: a search from the first root alone finds only 6
+    G = PermGroup([(10, 11, 3, 2, 6, 7, 5, 4, 9, 8, 0, 1),
+                   (4, 5, 7, 6, 8, 9, 10, 11, 0, 1, 2, 3)])
+    assert G.order() == 1536 and G.is_transitive()
+    r = max_semiregular_order(G)
+    assert r.optimal and r.witness.order == 12
+    validate_semiregular(r.witness, G.degree)
 
 
 def test_validate_semiregular_rejects_bad():
