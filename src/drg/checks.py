@@ -40,7 +40,6 @@ from .graph import (
     max_clique,
     max_intersecting_family,
     validate_clique,
-    validate_coclique,
 )
 from .group import (DEFAULT_DEGREE_BUDGET, DEFAULT_ELEMENT_BUDGET, DEFAULT_SUBGROUP_BUDGET,
                     BudgetError, PermGroup, blocks_and_primitivity, close_subgroup, coset_action)
@@ -215,15 +214,14 @@ def _stabilizer_coclique(G: PermGroup, budgets: Budgets) -> CocliqueCertificate:
     """An intersecting family from the stabilizer of 0, capped for audit size.
 
     The stabilizer order is known exactly from the chain, so enumeration
-    needs no budget; a prefix of a coclique is still a coclique.
+    needs no budget; a prefix of a coclique is still a coclique. The caller
+    validates it once, with membership, in ``clique_coclique_audit``.
     """
     stab_order = G.stabilizer_order()
     gens = G.point_stabilizer_gens(0)
     members = close_subgroup(gens, G.degree, stab_order + 1)
     assert members is not None and len(members) == stab_order
-    cert = CocliqueCertificate(sorted(members)[:_AUDIT_COCLIQUE_CAP])
-    validate_coclique(cert)
-    return cert
+    return CocliqueCertificate(sorted(members)[:_AUDIT_COCLIQUE_CAP])
 
 
 def _coset_semiregular_witness(action, seed_gens: list[Permutation], name: str,

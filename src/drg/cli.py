@@ -161,6 +161,12 @@ def cmd_verify_cert(args) -> int:
                                 require_identity=payload.get("require_identity", True))
             else:
                 validate_coclique(CocliqueCertificate(vertices))
+            degree = payload.get("degree", vertices[0].degree)
+            if degree != vertices[0].degree:
+                raise CertificateError(
+                    f"degree field {degree!r} disagrees with the vertices' degree "
+                    f"{vertices[0].degree}"
+                )
         elif kind == "semiregular":
             gens = [Permutation(v) for v in payload["generators"]]
             witness = SemiregularWitness(payload.get("group", ""), gens,

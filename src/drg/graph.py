@@ -5,8 +5,14 @@ derangement, which under the right-action convention happens exactly when
 the image tuples of g and h disagree in every coordinate. The searches get
 their rows from per-point masks (the vertices sending x to y, one bitset for
 each pair of points), built once per vertex list; a row is built on first
-use and no |G| x |G| matrix is ever stored. The certificate validators do
-not use the masks: they compare image tuples pairwise.
+use and no |G| x |G| matrix is ever stored.
+
+The certificate validators stay independent of the searches: they use
+neither ``_LazyAdjacency`` nor the search functions nor ``oracles``. Each
+builds its own point masks from the certificate's vertices alone and ORs,
+for every vertex, the masks of its n (point, image) pairs into the set of
+vertices it agrees with somewhere; that is O(m * n) big-int ORs for m
+vertices, not a pairwise scan.
 
 Searches operate on integer bitsets over an indexed vertex universe and are
 deterministic: vertices are indexed in lexicographic order of their image
@@ -88,52 +94,90 @@ class CertificateError(ValueError):
     """A certificate failed independent re-validation."""
 
 
+def _check_vertices(verts: list[Permutation], G: PermGroup | None,
+                    require_identity: bool = False) -> None:
+    """The per-vertex checks both validators share: a nonempty list of one
+    degree, no duplicates, membership in G when given, and the identity
+    when required."""
+    if not verts:
+        raise CertificateError("empty certificate")
+    degree = verts[0].degree
+    seen = set()
+    for v in verts:
+        if v.degree != degree:
+            raise CertificateError(
+                f"vertex {v!r} has degree {v.degree}, the first vertex {degree}"
+            )
+        if v.images in seen:
+            raise CertificateError(f"duplicate vertex {v!r}")
+        seen.add(v.images)
+        if G is not None and not G.membership(v):
+            raise CertificateError(f"vertex {v!r} is not a group member")
+    if require_identity and tuple(range(degree)) not in seen:
+        raise CertificateError("clique certificate must contain the identity")
+
+
+def _agreements(verts: list[Permutation]):
+    """Yield agree_i for each vertex i in order: the bitset of certificate
+    vertices that agree with vertex i at some point, bit i included.
+
+    Built from the certificate alone: masks[(x, y)] is the bitset of vertices
+    v with v(x) = y, and agree_i is the OR of vertex i's n masks, so a
+    certificate of m vertices costs O(m * n) big-int ORs.
+    """
+    masks: dict[tuple[int, int], int] = {}
+    for j, v in enumerate(verts):
+        bit = 1 << j
+        for xy in enumerate(v.images):
+            masks[xy] = masks.get(xy, 0) | bit
+    for v in verts:
+        agree = 0
+        for xy in enumerate(v.images):
+            agree |= masks[xy]
+        yield agree
+
+
+def _lowest_bit(bits: int) -> int:
+    return (bits & -bits).bit_length() - 1
+
+
 def validate_clique(cert: CliqueCertificate, G: PermGroup | None = None,
                     require_identity: bool = True) -> None:
     """Re-check a clique certificate from the definition.
 
-    Shares no logic with the searches: ratios are checked by a direct scan
-    for a common image coordinate.
+    A clique needs agree_i == {i} for every vertex i (see ``_agreements``).
+    The error names the lowest extra j of the first failing i: that is the
+    first pair i < j that agrees at a point, since a j < i would have failed
+    at j already. Shares no logic with the searches or the oracles.
     """
     verts = cert.vertices
-    if not verts:
-        raise CertificateError("empty certificate")
-    seen = set()
-    for v in verts:
-        if v.images in seen:
-            raise CertificateError(f"duplicate vertex {v!r}")
-        seen.add(v.images)
-        if G is not None and not G.membership(v):
-            raise CertificateError(f"vertex {v!r} is not a group member")
-    if require_identity and tuple(range(verts[0].degree)) not in seen:
-        raise CertificateError("clique certificate must contain the identity")
-    for i, g in enumerate(verts):
-        for h in verts[i + 1 :]:
-            for a, b in zip(g.images, h.images):
-                if a == b:
-                    raise CertificateError(
-                        f"vertices agree at a point: {g!r} vs {h!r}"
-                    )
+    _check_vertices(verts, G, require_identity)
+    for i, agree in enumerate(_agreements(verts)):
+        extra = agree & ~(1 << i)
+        if extra:
+            raise CertificateError(
+                f"vertices agree at a point: {verts[i]!r} vs {verts[_lowest_bit(extra)]!r}"
+            )
 
 
 def validate_coclique(cert: CocliqueCertificate, G: PermGroup | None = None) -> None:
-    """Re-check an intersecting-family certificate from the definition."""
+    """Re-check an intersecting-family certificate from the definition.
+
+    A coclique needs agree_i to hold every vertex (see ``_agreements``). The
+    error names the lowest missing j of the first failing i: that is the
+    first pair i < j that disagrees everywhere, since a j < i would have
+    failed at j already. Shares no logic with the searches or the oracles.
+    """
     verts = cert.vertices
-    if not verts:
-        raise CertificateError("empty certificate")
-    seen = set()
-    for v in verts:
-        if v.images in seen:
-            raise CertificateError(f"duplicate vertex {v!r}")
-        seen.add(v.images)
-        if G is not None and not G.membership(v):
-            raise CertificateError(f"vertex {v!r} is not a group member")
-    for i, g in enumerate(verts):
-        for h in verts[i + 1 :]:
-            if all(a != b for a, b in zip(g.images, h.images)):
-                raise CertificateError(
-                    f"non-intersecting pair in coclique: {g!r} vs {h!r}"
-                )
+    _check_vertices(verts, G)
+    full = (1 << len(verts)) - 1
+    for i, agree in enumerate(_agreements(verts)):
+        missing = full & ~agree
+        if missing:
+            raise CertificateError(
+                f"non-intersecting pair in coclique: {verts[i]!r} vs "
+                f"{verts[_lowest_bit(missing)]!r}"
+            )
 
 
 # -- bitset search engine -------------------------------------------------------

@@ -267,3 +267,127 @@ def test_density_m11_deg12_exact():
     assert rep.best_coclique == 660 and rep.coclique_optimal
     assert rep.rho_lower == rep.rho_upper == Fraction(1)
     assert clique_coclique_audit(rep.clique_certificate, rep.coclique_certificate, G)
+
+
+# -- the bitset validators against a pairwise reference -----------------------------
+
+
+def _pairwise_reference(verts, G, clique, require_identity=True):
+    """The definition scanned pair by pair, i < j: the reference verdict and message."""
+    if not verts:
+        raise CertificateError("empty certificate")
+    seen = set()
+    for v in verts:
+        if v.degree != verts[0].degree:
+            raise CertificateError(
+                f"vertex {v!r} has degree {v.degree}, the first vertex {verts[0].degree}"
+            )
+        if v.images in seen:
+            raise CertificateError(f"duplicate vertex {v!r}")
+        seen.add(v.images)
+        if G is not None and not G.membership(v):
+            raise CertificateError(f"vertex {v!r} is not a group member")
+    if clique and require_identity and tuple(range(verts[0].degree)) not in seen:
+        raise CertificateError("clique certificate must contain the identity")
+    for i, g in enumerate(verts):
+        for h in verts[i + 1:]:
+            if clique and not are_adjacent(g, h):
+                raise CertificateError(f"vertices agree at a point: {g!r} vs {h!r}")
+            if not clique and are_adjacent(g, h):
+                raise CertificateError(f"non-intersecting pair in coclique: {g!r} vs {h!r}")
+
+
+def _verdict(fn, *args, **kwargs):
+    try:
+        fn(*args, **kwargs)
+    except CertificateError as exc:
+        return str(exc)
+    return None
+
+
+def _random_vertex_lists(G, rng):
+    """Seeded vertex lists over G, valid and broken, for both certificate kinds."""
+    elements = [Permutation(t) for t in G.element_images()]
+    identity = elements[0]
+    stabilizer = [p for p in elements if p.images[0] == 0]
+    lists = []
+    for _ in range(6):
+        # a stabilizer prefix is a coclique; a random clique grown greedily
+        lists.append(stabilizer[:rng.randint(1, len(stabilizer))])
+        pool = elements[1:]
+        rng.shuffle(pool)
+        clique = [identity]
+        for p in pool:
+            if all(are_adjacent(p, q) for q in clique):
+                clique.append(p)
+        lists.append(clique)
+        lists.append(rng.sample(elements, rng.randint(1, min(8, len(elements)))))
+    broken = []
+    for verts in lists:
+        stray = list(verts)
+        stray.insert(rng.randint(0, len(stray)), rng.choice(elements))
+        broken.append(stray)
+        broken.append(verts + [rng.choice(verts)])  # a duplicate
+        broken.append([v for v in verts if v != identity] or [elements[-1]])
+        broken.append(verts[::-1])
+        images = list(range(G.degree))
+        for _ in range(20):  # a non-member, when G is not the full symmetric group
+            rng.shuffle(images)
+            p = Permutation(images)
+            if not G.membership(p):
+                at = rng.randint(0, len(verts))
+                broken.append(verts[:at] + [p] + verts[at:])
+                break
+    return lists + broken
+
+
+def _kind(message):
+    for kind in ("duplicate", "member", "identity", "agree", "non-intersecting"):
+        if message is not None and kind in message:
+            return kind
+    return message
+
+
+def test_validators_match_pairwise_reference_on_catalog():
+    rng = random.Random(20240607)
+    seen = set()
+    for rec in catalog_index():
+        if rec["order"] > 360:
+            continue
+        G = catalog_load(rec["name"]).group
+        for verts in _random_vertex_lists(G, rng):
+            for group in (None, G):
+                for require_identity in (True, False):
+                    want = _verdict(_pairwise_reference, verts, group, True, require_identity)
+                    got = _verdict(validate_clique, CliqueCertificate(verts), group,
+                                   require_identity=require_identity)
+                    assert got == want, (rec["name"], "clique", verts)
+                    seen.add(_kind(want))
+                want = _verdict(_pairwise_reference, verts, group, False)
+                got = _verdict(validate_coclique, CocliqueCertificate(verts), group)
+                assert got == want, (rec["name"], "coclique", verts)
+                seen.add(_kind(want))
+    # the inputs reach every verdict the validators can give on one degree
+    assert seen == {None, "duplicate", "member", "identity", "agree", "non-intersecting"}
+
+
+def test_validators_reject_mixed_degree():
+    a, b = Permutation([0, 1, 2]), Permutation([1, 2, 0, 4, 3])
+    with pytest.raises(CertificateError, match="has degree 5, the first vertex 3"):
+        validate_clique(CliqueCertificate([a, b]))
+    with pytest.raises(CertificateError, match="has degree 5, the first vertex 3"):
+        validate_coclique(CocliqueCertificate([a, Permutation([0, 2, 1, 4, 3])]))
+
+
+def test_validate_coclique_a8_stabilizer_family():
+    G = catalog_load("A8:8").group
+    family = [Permutation(t) for t in sorted(G.iter_images()) if t[0] == 0]
+    assert len(family) == 2520
+    validate_coclique(CocliqueCertificate(family))
+    # a derangement in place of the identity: its first non-intersecting partner
+    d = next(Permutation(t) for t in G.iter_images() if all(i != x for i, x in enumerate(t)))
+    j = next(j for j, v in enumerate(family) if j and are_adjacent(d, v))
+    assert sum(are_adjacent(d, v) for v in family[1:]) > 1  # the lowest is not the only one
+    with pytest.raises(CertificateError) as exc:
+        validate_coclique(CocliqueCertificate([d] + family[1:]))
+    assert str(exc.value) == f"non-intersecting pair in coclique: {d!r} vs {family[j]!r}"

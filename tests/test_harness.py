@@ -304,6 +304,29 @@ def test_cli_verify_cert_roundtrip(tmp_path, capsys):
     assert "INVALID" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("kind, second", [("clique", [1, 2, 0, 4, 3]),
+                                          ("coclique", [0, 2, 1, 4, 3])])
+def test_cli_verify_cert_rejects_mixed_degree(tmp_path, capsys, kind, second):
+    # on the first three points the pair is valid, so a scan that zips image
+    # tuples of unequal length would accept it
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps({"type": kind, "degree": 3,
+                                "vertices": [[0, 1, 2], second]}))
+    assert cli_main(["verify-cert", str(path)]) == 1
+    assert "INVALID" in capsys.readouterr().out
+
+
+def test_cli_verify_cert_rejects_wrong_degree_field(tmp_path, capsys):
+    path = tmp_path / "clique.json"
+    payload = {"type": "clique", "degree": 4, "vertices": [[0, 1, 2], [1, 2, 0]]}
+    path.write_text(json.dumps(payload))
+    assert cli_main(["verify-cert", str(path)]) == 1
+    assert "INVALID: degree field 4" in capsys.readouterr().out
+    payload["degree"] = 3
+    path.write_text(json.dumps(payload))
+    assert cli_main(["verify-cert", str(path)]) == 0
+
+
 def test_cli_verify_cert_semiregular(tmp_path, capsys):
     gf = catalog_load("PSp4(3):36")
     payload = {

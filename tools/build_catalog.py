@@ -5,10 +5,18 @@ Every group is constructed from first principles (shuffle generators,
 projective actions, matrix groups, coset actions) and verified against its
 recorded metadata before anything is written. Running this script twice
 produces byte-identical output.
+
+    python tools/build_catalog.py          # rebuild src/drg/data
+    python tools/build_catalog.py --check  # compare, write nothing
+
+With ``--check`` every group is built in memory and compared byte for byte
+with the files under src/drg/data; any changed, missing or extra file is
+listed and the exit status is 1.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import sys
 import time
@@ -53,6 +61,7 @@ def file_name(name: str) -> str:
 
 
 INDEX: list[dict] = []
+FILES: dict[str, str] = {}  # file name under DATA_DIR -> its text
 
 
 def emit(G: PermGroup, name: str, notes: str, subgroups: list[tuple[str, list[Permutation]]] = (),
@@ -75,11 +84,10 @@ def emit(G: PermGroup, name: str, notes: str, subgroups: list[tuple[str, list[Pe
         ],
         "notes": notes,
     }
-    path = DATA_DIR / file_name(name)
-    path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+    FILES[file_name(name)] = json.dumps(record, indent=1, sort_keys=True) + "\n"
     INDEX.append({
         "name": name,
-        "file": path.name,
+        "file": file_name(name),
         "degree": G.degree,
         "order": order,
         "transitive": True,
@@ -87,7 +95,7 @@ def emit(G: PermGroup, name: str, notes: str, subgroups: list[tuple[str, list[Pe
         "stabilizer_order": order // G.degree,
         "notes": notes,
     })
-    log(f"wrote {name}: degree {G.degree}, order {order}, primitive={primitive}")
+    log(f"built {name}: degree {G.degree}, order {order}, primitive={primitive}")
     return G
 
 
@@ -120,11 +128,7 @@ def normalizer_gens(elements: list[Permutation], subgroup: list[Permutation],
     return reduce_generators(norm, degree, expect)
 
 
-def main() -> None:
-    DATA_DIR.mkdir(parents=True, exist_ok=True)
-    for old in DATA_DIR.glob("*.json"):
-        old.unlink()
-
+def build() -> None:
     # -- elementary corpus -------------------------------------------------
     for n in range(2, 8):
         emit(cyclic_group(n), f"C{n}:{n}", "cyclic regular action", expect_order=n)
@@ -438,11 +442,40 @@ def main() -> None:
          subgroups=[("semiregular9", [witness9])],
          expect_order=25920, expect_primitive=True)
 
-    index_path = DATA_DIR / "index.json"
-    index_path.write_text(json.dumps(sorted(INDEX, key=lambda r: r["name"]), indent=1,
-                                     sort_keys=True) + "\n")
-    log(f"catalog complete: {len(INDEX)} groups, index at {index_path}")
+    FILES["index.json"] = json.dumps(sorted(INDEX, key=lambda r: r["name"]), indent=1,
+                                     sort_keys=True) + "\n"
+
+
+def drift() -> list[str]:
+    """The files under DATA_DIR that differ from the build, as report lines."""
+    on_disk = {p.name: p.read_bytes() for p in DATA_DIR.glob("*.json")}
+    lines = [f"missing: {n}" for n in sorted(FILES.keys() - on_disk.keys())]
+    lines += [f"extra: {n}" for n in sorted(on_disk.keys() - FILES.keys())]
+    lines += [f"changed: {n}" for n in sorted(FILES.keys() & on_disk.keys())
+              if FILES[n].encode() != on_disk[n]]
+    return lines
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", action="store_true",
+                        help="compare the build with src/drg/data and write nothing")
+    args = parser.parse_args(argv)
+    build()
+    if args.check:
+        lines = drift()
+        for line in lines:
+            print(line)
+        log(f"catalog check: {len(FILES)} files built, {len(lines)} differ")
+        return 1 if lines else 0
+    DATA_DIR.mkdir(parents=True, exist_ok=True)
+    for old in DATA_DIR.glob("*.json"):
+        old.unlink()
+    for name, text in FILES.items():
+        (DATA_DIR / name).write_text(text)
+    log(f"catalog complete: {len(INDEX)} groups, {len(FILES)} files in {DATA_DIR}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
