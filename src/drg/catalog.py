@@ -123,3 +123,9 @@ def _load_checked(name: str, dir_str: str) -> GroupFile:
 def catalog_load(name: str) -> GroupFile:
     """Load a catalog group by name, verifying its recorded metadata."""
     return _load_checked(name, str(data_dir()))
+
+
+def resolve_group(source: str | Path) -> GroupFile:
+    """The group file at ``source`` if one exists, else the catalog group of that name."""
+    path = Path(source)
+    return load_group_file(path) if path.exists() else catalog_load(str(source))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
-from .catalog import GroupFile, IntegrityError, catalog_index, catalog_load, load_group_file
+from .catalog import GroupFile, IntegrityError, catalog_index, catalog_load, resolve_group
 from .constructions import (
     WreathSpec,
     cyclic_group,
@@ -688,11 +688,7 @@ def analyze(source: str | Path | GroupFile, budgets: Budgets | None = None,
             deep: bool = False) -> dict:
     """Full deterministic report for one group (file path or catalog name)."""
     budgets = budgets or Budgets()
-    if isinstance(source, GroupFile):
-        gf = source
-    else:
-        path = Path(source)
-        gf = load_group_file(path) if path.exists() else catalog_load(str(source))
+    gf = source if isinstance(source, GroupFile) else resolve_group(source)
     G = gf.group
     report: dict = {
         "schema_version": REPORT_SCHEMA_VERSION,

@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .catalog import IntegrityError, catalog_names, load_group_file
+from .catalog import IntegrityError, catalog_names, resolve_group
 from .checks import Budgets, analyze, check_ids, corpus_scan, run_check
 from .graph import (
     CertificateError,
@@ -33,7 +33,7 @@ from .numth import (
     radical,
     sylvester_prime,
 )
-from .perm import Permutation
+from .perm import Permutation, PermError
 from .semireg import SemiregularWitness, WitnessError, validate_semiregular
 
 
@@ -67,12 +67,9 @@ def cmd_analyze(args) -> int:
 def cmd_density(args) -> int:
     from .graph import density_bounds
 
+    budgets = _budgets_from(args)
     try:
-        path = Path(args.group)
-        gf = load_group_file(path) if path.exists() else __import__(
-            "drg.catalog", fromlist=["catalog_load"]).catalog_load(args.group)
-        rep = density_bounds(gf.group, _budgets_from(args).nodes,
-                             _budgets_from(args).elements)
+        rep = density_bounds(resolve_group(args.group).group, budgets.nodes, budgets.elements)
     except (IntegrityError, BudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -175,7 +172,9 @@ def cmd_verify_cert(args) -> int:
         else:
             print(f"unknown certificate type {kind!r}", file=sys.stderr)
             return 3
-    except (KeyError, json.JSONDecodeError, OSError) as exc:
+    except (KeyError, TypeError, PermError, json.JSONDecodeError, OSError) as exc:
+        # not a certificate: a JSON array, a vertex that is no permutation,
+        # generators of another degree
         print(f"error: bad certificate file: {exc}", file=sys.stderr)
         return 3
     except (CertificateError, WitnessError) as exc:

@@ -16,13 +16,19 @@ vertices, not a pairwise scan.
 
 Searches operate on integer bitsets over an indexed vertex universe and are
 deterministic: vertices are indexed in lexicographic order of their image
-tuples and branching follows index order.
+tuples and branching follows index order. There is one engine, a colouring
+branch and bound: ``max_clique`` runs it to the end, ``find_k_clique`` stops
+it at k vertices, and ``max_intersecting_family`` runs it on the complement.
+All three read one split of G's elements into derangements and fixers, made
+from one sorted walk and kept for the latest group only.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .group import DEFAULT_ELEMENT_BUDGET, BudgetError, PermGroup
 from .perm import Permutation, PermError, has_fixed_point
@@ -30,10 +36,11 @@ from .perm import Permutation, PermError, has_fixed_point
 DEFAULT_NODE_BUDGET = 200_000
 
 
-@dataclass
+@dataclass(frozen=True)
 class DerangementSet:
     group: PermGroup
-    images: list[tuple[int, ...]]  # sorted
+    images: tuple[tuple[int, ...], ...]  # the derangements, sorted
+    fixers: tuple[tuple[int, ...], ...]  # the other non-identity elements, sorted
 
     @property
     def count(self) -> int:
@@ -44,11 +51,28 @@ class DerangementSet:
         return [Permutation(t) for t in self.images]
 
 
+@lru_cache(maxsize=1)
+def _element_split(G: PermGroup, budget: int) -> DerangementSet:
+    """G's non-identity elements from one sorted walk, split by fixed points.
+
+    Only the latest group's split is kept, as for ``element_census``: a larger
+    cache would hold every element of every group its callers keep alive.
+    """
+    images, fixers = [], []
+    for t in G.element_images(budget)[1:]:  # the identity sorts first
+        (fixers if has_fixed_point(t) else images).append(t)
+    return DerangementSet(G, tuple(images), tuple(fixers))
+
+
 def derangement_set(G: PermGroup, budget: int = DEFAULT_ELEMENT_BUDGET) -> DerangementSet:
-    """All fixed-point-free elements of G (enumerated; needs order <= budget)."""
+    """All fixed-point-free elements of G (enumerated; needs order <= budget).
+
+    The set also carries the non-identity elements that fix a point. Both
+    come from one walk of G, kept until another group or budget is split.
+    """
     if not G.is_transitive():
         raise PermError("derangement graphs are defined here for transitive groups")
-    return DerangementSet(G, [t for t in G.element_images(budget) if not has_fixed_point(t)])
+    return _element_split(G, budget)
 
 
 def are_adjacent(g: Permutation, h: Permutation) -> bool:
@@ -102,6 +126,8 @@ def _check_vertices(verts: list[Permutation], G: PermGroup | None,
     if not verts:
         raise CertificateError("empty certificate")
     degree = verts[0].degree
+    if G is not None and degree != G.degree:
+        raise CertificateError(f"certificate degree {degree} differs from the group's {G.degree}")
     seen = set()
     for v in verts:
         if v.degree != degree:
@@ -197,7 +223,7 @@ class _LazyAdjacency:
     share a point with g_i) is agree without bit i.
     """
 
-    def __init__(self, images: list[tuple[int, ...]], complement: bool = False):
+    def __init__(self, images: Sequence[tuple[int, ...]], complement: bool = False):
         self.images = images
         self.complement = complement
         self.universe = (1 << len(images)) - 1
@@ -224,56 +250,26 @@ class _LazyAdjacency:
         return bits
 
 
-def _iter_bits(bits: int):
-    while bits:
-        low = bits & -bits
-        yield low.bit_length() - 1
-        bits ^= low
-
-
 @dataclass
 class SearchStats:
     nodes: int = 0
     budget: int = DEFAULT_NODE_BUDGET
-    exhausted: bool = False
 
     def tick(self) -> None:
         self.nodes += 1
         if self.nodes > self.budget:
-            self.exhausted = True
             raise _BudgetExhausted
 
 
-def _find_clique_of_size(adj: _LazyAdjacency, universe: int, k: int,
-                         stats: SearchStats) -> list[int] | None:
-    """Depth-first search for a k-clique inside the universe bitset."""
-
-    def rec(chosen: list[int], candidates: int) -> list[int] | None:
-        if len(chosen) == k:
-            return chosen
-        if len(chosen) + candidates.bit_count() < k:
-            return None
-        rest = candidates
-        for v in _iter_bits(candidates):
-            stats.tick()
-            rest ^= 1 << v
-            got = rec(chosen + [v], rest & adj.row(v))
-            if got is not None:
-                return got
-            if len(chosen) + 1 + rest.bit_count() < k:
-                return None
-        return None
-
-    return rec([], universe)
-
-
-def _max_clique_search(adj: _LazyAdjacency, universe: int, stats: SearchStats,
+def _max_clique_search(adj: _LazyAdjacency, stats: SearchStats,
                        initial: list[int] | None = None,
                        stop_at: int | None = None) -> tuple[list[int], bool]:
     """Branch and bound with a greedy-coloring bound (Tomita style).
 
     Returns (best vertex list, closed) where closed means the search space
-    was exhausted rather than the node budget.
+    was exhausted rather than the node budget. With ``stop_at`` the search
+    returns as soon as the best clique has that many vertices; the clique it
+    returns may be larger, since a branch runs on to a maximal clique.
     """
     best = list(initial or [])
 
@@ -315,7 +311,7 @@ def _max_clique_search(adj: _LazyAdjacency, universe: int, stats: SearchStats,
 
     closed = True
     try:
-        expand([], universe)
+        expand([], adj.universe)
     except _BudgetExhausted:
         closed = False
     return best, closed
@@ -331,29 +327,33 @@ class CliqueSearchResult:
     nodes: int
 
 
+def _identity_rooted(degree: int, images: Sequence[tuple[int, ...]],
+                     indices: list[int]) -> list[Permutation]:
+    """The identity, then the indexed vertices in index order."""
+    return [Permutation.identity(degree)] + [Permutation(images[i]) for i in sorted(indices)]
+
+
 def find_k_clique(G: PermGroup, k: int,
                   node_budget: int = DEFAULT_NODE_BUDGET,
                   element_budget: int = DEFAULT_ELEMENT_BUDGET) -> CliqueSearchResult:
     """Search for a k-clique in the derangement graph, rooted at the identity.
 
     Vertex-transitivity makes the identity rooting lossless: some maximum
-    clique contains any given vertex.
+    clique contains any given vertex. This is the maximum-clique search
+    stopped at k vertices, so its colour bound can prove "none" at the root.
+    A found certificate holds exactly k vertices: the identity and the k - 1
+    lowest-indexed vertices of the clique the search returns.
     """
     if k < 1:
         raise PermError("k must be positive")
-    identity = Permutation.identity(G.degree)
     if k == 1:
-        return CliqueSearchResult("found", CliqueCertificate([identity]), 0)
+        return CliqueSearchResult("found", CliqueCertificate([Permutation.identity(G.degree)]), 0)
     adj = _LazyAdjacency(derangement_set(G, element_budget).images)
     stats = SearchStats(budget=node_budget)
-    try:
-        got = _find_clique_of_size(adj, adj.universe, k - 1, stats)
-    except _BudgetExhausted:
-        return CliqueSearchResult("unknown", None, stats.nodes)
-    if got is None:
-        return CliqueSearchResult("none", None, stats.nodes)
-    vertices = [identity] + [Permutation(adj.images[i]) for i in sorted(got)]
-    cert = CliqueCertificate(vertices)
+    best, closed = _max_clique_search(adj, stats, stop_at=k - 1)
+    if len(best) < k - 1:
+        return CliqueSearchResult("none" if closed else "unknown", None, stats.nodes)
+    cert = CliqueCertificate(_identity_rooted(G.degree, adj.images, sorted(best)[:k - 1]))
     validate_clique(cert)
     return CliqueSearchResult("found", cert, stats.nodes)
 
@@ -372,12 +372,10 @@ def max_clique(G: PermGroup,
 
     The optimality flag is True only when the search closed within budget.
     """
-    identity = Permutation.identity(G.degree)
     adj = _LazyAdjacency(derangement_set(G, element_budget).images)
     stats = SearchStats(budget=node_budget)
-    best, closed = _max_clique_search(adj, adj.universe, stats)
-    vertices = [identity] + [Permutation(adj.images[i]) for i in sorted(best)]
-    cert = CliqueCertificate(vertices)
+    best, closed = _max_clique_search(adj, stats)
+    cert = CliqueCertificate(_identity_rooted(G.degree, adj.images, best))
     validate_clique(cert)
     return MaxCliqueResult(cert, closed, stats.nodes)
 
@@ -398,11 +396,11 @@ def max_intersecting_family(G: PermGroup,
     Rooted at the identity (lossless: translates of intersecting families are
     intersecting), warm-started with the stabilizer of point 0. When a clique
     of size w is known, alpha * w <= |G| closes the search early once the
-    family reaches |G| / w.
+    family reaches |G| / w. The vertices are the non-identity elements that
+    fix a point, read from the same split as ``derangement_set`` (without its
+    transitivity check).
     """
-    identity = Permutation.identity(G.degree)
-    # the identity sorts first
-    fixers = [t for t in G.element_images(element_budget)[1:] if has_fixed_point(t)]
+    fixers = _element_split(G, element_budget).fixers
     adj = _LazyAdjacency(fixers, complement=True)
     # the stabilizer of 0 is intersecting and pairwise-compatible, a valid seed
     initial = [i for i, t in enumerate(fixers) if t[0] == 0]
@@ -412,10 +410,8 @@ def max_intersecting_family(G: PermGroup,
         stop_at = G.order() // clique_size_hint - 1  # excluding the identity root
 
     stats = SearchStats(budget=node_budget)
-    best, closed = _max_clique_search(adj, adj.universe, stats, initial=initial,
-                                      stop_at=stop_at)
-    vertices = [identity] + [Permutation(fixers[i]) for i in sorted(best)]
-    cert = CocliqueCertificate(vertices)
+    best, closed = _max_clique_search(adj, stats, initial=initial, stop_at=stop_at)
+    cert = CocliqueCertificate(_identity_rooted(G.degree, fixers, best))
     validate_coclique(cert)
     optimal = closed
     if stop_at is not None and len(best) >= stop_at:

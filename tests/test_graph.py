@@ -17,7 +17,9 @@ from drg.graph import (
     max_intersecting_family,
     validate_clique,
     validate_coclique,
+    SearchStats,
     _LazyAdjacency,
+    _max_clique_search,
 )
 from drg.group import PermGroup
 from drg.perm import Permutation, compose, inverse, is_derangement, parse_cycles
@@ -130,6 +132,25 @@ def test_find_k_clique_alt5_deg6_size4():
     validate_clique(r.certificate, G)
 
 
+def test_find_k_clique_colour_bound_proves_none():
+    # omega(A7:7) = 7, and the colour bound proves it near the root
+    r = find_k_clique(catalog_load("A7:7").group, 8)
+    assert r.status == "none" and r.certificate is None
+    assert r.nodes < 100
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_find_k_clique_certificate_has_exactly_k_vertices(k):
+    G = catalog_load("PSL2(11):11").group
+    # the search's first maximal clique is larger than k
+    adj = _LazyAdjacency(derangement_set(G).images)
+    best, _ = _max_clique_search(adj, SearchStats(), stop_at=k - 1)
+    assert len(best) > k - 1
+    r = find_k_clique(G, k)
+    assert r.status == "found" and r.certificate.size == k
+    validate_clique(r.certificate, G)
+
+
 def test_max_clique_regular_group_is_whole_group():
     G = cyclic(5)
     r = max_clique(G)
@@ -211,6 +232,22 @@ def test_validate_coclique_rejects_disjoint_pair():
     bad = CocliqueCertificate([Permutation.identity(4), g])
     with pytest.raises(CertificateError):
         validate_coclique(bad)
+
+
+def test_density_bounds_walks_the_group_once(monkeypatch):
+    G = catalog_load("A7:7").group
+    walk = PermGroup.element_images
+    calls = 0
+
+    def counted(self, *args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return walk(self, *args, **kwargs)
+
+    monkeypatch.setattr(PermGroup, "element_images", counted)
+    rep = density_bounds(G)
+    assert rep.status == "ok"
+    assert calls == 1
 
 
 def test_density_regular_group():
@@ -377,6 +414,15 @@ def test_validators_reject_mixed_degree():
         validate_clique(CliqueCertificate([a, b]))
     with pytest.raises(CertificateError, match="has degree 5, the first vertex 3"):
         validate_coclique(CocliqueCertificate([a, Permutation([0, 2, 1, 4, 3])]))
+
+
+def test_validators_reject_a_group_of_another_degree():
+    G = catalog_load("S3:3").group
+    v = Permutation([1, 0, 3, 2])
+    with pytest.raises(CertificateError, match="certificate degree 4 differs from the group's 3"):
+        validate_clique(CliqueCertificate([v]), G, require_identity=False)
+    with pytest.raises(CertificateError, match="certificate degree 4 differs from the group's 3"):
+        validate_coclique(CocliqueCertificate([v]), G)
 
 
 def test_validate_coclique_a8_stabilizer_family():

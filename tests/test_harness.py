@@ -28,7 +28,6 @@ from drg.oracles import (
     exhaustive_max_semiregular,
 )
 from drg.perm import Permutation, parse_cycles
-from drg.semireg import element_census
 
 
 def test_check_registry_covers_acceptance():
@@ -95,7 +94,6 @@ def test_analyze_enumerates_each_group_once(monkeypatch):
             yield x
 
     monkeypatch.setattr(PermGroup, "iter_images", counted)
-    element_census.cache_clear()
     analyze("M12:12")
     # one census pass, plus the short derangement prefixes of the greedy cliques
     assert yielded < 1.1 * G.order()
@@ -345,10 +343,21 @@ def test_cli_verify_cert_semiregular(tmp_path, capsys):
     assert cli_main(["verify-cert", str(path)]) == 1
 
 
-def test_cli_verify_cert_bad_file(tmp_path):
-    path = tmp_path / "junk.json"
-    path.write_text("{broken")
-    assert cli_main(["verify-cert", str(path)]) == 3
+def test_cli_verify_cert_bad_file(tmp_path, capsys):
+    # each is no certificate at all: exit 3 with a message, never a traceback
+    bad_files = {
+        "broken JSON": "{broken",
+        "top-level array": "[]",
+        "vertex not a permutation": json.dumps({"type": "clique",
+                                                "vertices": [[0, 1, 2], [0, 0, 1]]}),
+        "generators of another degree": json.dumps({"type": "semiregular", "degree": 3,
+                                                    "order": 2, "generators": [[1, 0, 3, 2]]}),
+    }
+    for case, text in bad_files.items():
+        path = tmp_path / "junk.json"
+        path.write_text(text)
+        assert cli_main(["verify-cert", str(path)]) == 3, case
+        assert "error: bad certificate file" in capsys.readouterr().err, case
 
 
 # -- the benchmark's tracer -----------------------------------------------------------
