@@ -619,6 +619,8 @@ def _check_corpus_density(budgets: Budgets):
     return "pass", {"groups": len(rows)}, rows, ""
 
 
+# The coclique oracle stops at floor(|G| / |C|) for a clique C it finds and would
+# answer above this order too; the cap stays so the report keeps its rows and bytes.
 _COCLIQUE_ORACLE_CAP = 168
 
 
@@ -662,8 +664,7 @@ def _check_oracle_equivalence(budgets: Budgets):
                         f"coclique {co.certificate.size} vs oracle {alpha}")
             row["alpha"] = alpha
         else:
-            # exhaustive independent-set search is out of reach here; the
-            # clique-coclique ceiling must close instead: alpha * omega = |G|
+            # above the cap the clique-coclique ceiling must close: alpha * omega = |G|
             if not co.optimal or co.certificate.size * omega != G.order():
                 return ("fail", {"group": name}, None,
                         "coclique not certified by the clique-coclique ceiling")

@@ -70,7 +70,7 @@ def cmd_density(args) -> int:
     budgets = _budgets_from(args)
     try:
         rep = density_bounds(resolve_group(args.group).group, budgets.nodes, budgets.elements)
-    except (IntegrityError, BudgetError) as exc:
+    except (IntegrityError, BudgetError, PermError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     print(json.dumps(rep.to_json_dict(), indent=2, sort_keys=True))

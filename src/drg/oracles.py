@@ -1,11 +1,22 @@
 """Reference implementations used to cross-check the production searches.
 
 These share no search logic with the production code: cliques and cocliques
-go through Bron-Kerbosch with pivoting on explicit adjacency bitsets (the
-clique search stops once it reaches the bound omega <= n, the degree), group
+go through Bron-Kerbosch with pivoting on explicit adjacency bitsets, group
 order through a plain breadth-first closure, and the semiregular maximum
-through a full walk of the subgroup lattice up to the degree. They are
-meant for groups of order a few hundred.
+through a walk of the subgroup lattice up to the degree. They are meant for
+groups of order a few hundred.
+
+Each exhaustive search stops at a proven ceiling, never below the answer:
+
+- omega <= n, the degree: the members of a clique send point 0 to pairwise
+  distinct points.
+- alpha <= |G| / |C| for any clique C, maximum or not: the derangement graph
+  is a Cayley graph, hence vertex-transitive, and there alpha * |C| <= |G|
+  (the clique-coclique bound; Godsil-Meagher, *Erdos-Ko-Rado Theorems:
+  Algebraic Approaches*, 2016). The translates hC, h in G, cover each vertex
+  |C| times, and each meets a coclique in at most one vertex.
+- a semiregular subgroup has order at most n: its orbits are regular, so its
+  order divides n.
 """
 
 from __future__ import annotations
@@ -86,10 +97,20 @@ def exhaustive_max_clique(G: PermGroup) -> int:
 
 
 def exhaustive_max_coclique(G: PermGroup) -> int:
-    """alpha of the derangement graph = maximum clique of the complement."""
+    """alpha of the derangement graph = maximum clique of the complement.
+
+    First finds a clique C of the derangement graph (stopped at the degree,
+    like ``exhaustive_max_clique``), on rows read off the complement rows.
+    The coclique search then stops at floor(|G| / |C|): alpha * |C| <= |G|
+    for any clique C of a vertex-transitive graph, maximum or not.
+    """
     images = G.element_images()
-    adj = _adjacency_bitsets(images, complement=True)
-    return len(_bron_kerbosch(adj, len(images)))
+    order = len(images)
+    co_adj = _adjacency_bitsets(images, complement=True)
+    full = (1 << order) - 1
+    adj = [full & ~row & ~(1 << i) for i, row in enumerate(co_adj)]
+    clique = _bron_kerbosch(adj, order, ceiling=G.degree)
+    return len(_bron_kerbosch(co_adj, order, ceiling=order // len(clique)))
 
 
 def _cyclic_generators(images: list[tuple[int, ...]]) -> list[Permutation]:
@@ -114,8 +135,10 @@ def exhaustive_max_semiregular(G: PermGroup) -> int:
 
     Every subgroup of order at most the degree is visited via join closure
     with one cyclic subgroup at a time, through its least generator (the join
-    depends only on the cyclic subgroup); semiregularity is then tested from
-    the definition.
+    depends only on the cyclic subgroup). Each newly closed subgroup is tested
+    for semiregularity from the definition; the walk stops at one of order n,
+    the degree, since a semiregular subgroup's orbits are regular and so its
+    order divides n.
     """
     n = G.degree
     cyclic_gens = _cyclic_generators(G.element_images())
@@ -123,6 +146,7 @@ def exhaustive_max_semiregular(G: PermGroup) -> int:
     trivial = frozenset({identity})
     seen = {trivial}
     frontier = [trivial]
+    best = 1
     while frontier:
         new = []
         for H in frontier:
@@ -134,12 +158,14 @@ def exhaustive_max_semiregular(G: PermGroup) -> int:
                 if closed is None:
                     continue
                 key = frozenset(p.images for p in closed)
-                if key not in seen:
-                    seen.add(key)
-                    new.append(key)
+                if key in seen:
+                    continue
+                seen.add(key)
+                new.append(key)
+                if len(key) > best and all(
+                        t == identity or all(i != j for i, j in enumerate(t)) for t in key):
+                    best = len(key)
+                    if best == n:
+                        return n
         frontier = new
-    best = 1
-    for H in seen:
-        if all(t == identity or all(i != j for i, j in enumerate(t)) for t in H):
-            best = max(best, len(H))
     return best

@@ -234,6 +234,14 @@ def test_oracles_against_naive_enumeration():
     S3 = catalog_load("S3:3").group
     assert exhaustive_max_coclique(S3) == 2
     assert exhaustive_max_semiregular(S3) == 3
+    # each oracle's ceiling where it binds and where it does not; the values
+    # are the oracle-equivalence rows of bench/reference.json
+    for name, alpha in (("PSL2(7):7", 24), ("PSL2(7):8", 21),  # alpha = |G|/omega
+                        ("A5:6", 10)):                          # below 60/4 = 15
+        assert exhaustive_max_coclique(catalog_load(name).group) == alpha, name
+    for name, order in (("PSL2(7):8", 8),              # stops at the degree
+                        ("A5:6", 3), ("S5:10", 5)):    # the full walk
+        assert exhaustive_max_semiregular(catalog_load(name).group) == order, name
 
 
 # -- CLI ----------------------------------------------------------------------------
@@ -268,11 +276,16 @@ def test_cli_numth(capsys):
     assert cli_main(["numth", "radical", "-3"]) == 3
 
 
-def test_cli_density(capsys):
+def test_cli_density(tmp_path, capsys):
     rc = cli_main(["density", "C5:5"])
     assert rc == 0
     out = json.loads(capsys.readouterr().out)
     assert out["rho_lower"] == "1" and out["rho_upper"] == "1"
+    # an intransitive group has no density: exit 3 with a message, never a traceback
+    path = tmp_path / "triv.json"
+    path.write_text(json.dumps({"name": "triv", "degree": 3, "generators": [[0, 1, 2]]}))
+    assert cli_main(["density", str(path)]) == 3
+    assert "error: density bounds need a transitive group" in capsys.readouterr().err
 
 
 def test_cli_corpus(tmp_path, capsys):
