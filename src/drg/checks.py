@@ -221,7 +221,7 @@ def _stabilizer_coclique(G: PermGroup, budgets: Budgets) -> CocliqueCertificate:
     gens = G.point_stabilizer_gens(0)
     members = close_subgroup(gens, G.degree, stab_order + 1)
     assert members is not None and len(members) == stab_order
-    return CocliqueCertificate(sorted(members)[:_AUDIT_COCLIQUE_CAP])
+    return CocliqueCertificate(members[:_AUDIT_COCLIQUE_CAP])
 
 
 def _coset_semiregular_witness(action, seed_gens: list[Permutation], name: str,

@@ -6,9 +6,16 @@ point moved by a remaining strong generator, and all bookkeeping iterates
 points in increasing order, so two builds from the same generator list agree
 element for element. Every enumeration of the group reads one walk of image
 tuples off the chain, ``iter_images``.
+
+A coset action keys each coset H r by its lexicographically least image
+tuple, read off a compressed trie of H's sorted image tuples with one choice
+per branching node; ``CosetAction`` says why that choice is the least.
 """
 
 from __future__ import annotations
+
+from itertools import groupby
+from operator import itemgetter
 
 from .perm import Permutation, PermError, compose, inverse
 
@@ -283,8 +290,9 @@ def trivial_group(degree: int) -> PermGroup:
 def close_subgroup(gens, degree: int, cap: int) -> list[Permutation] | None:
     """Breadth-first closure of ``gens``; None if the size would exceed cap.
 
-    Independent of the stabilizer chain; used as the enumeration oracle for
-    small subgroups and by searches that must abort early.
+    The elements come sorted by image tuple. Independent of the stabilizer
+    chain; used as the enumeration oracle for small subgroups and by searches
+    that must abort early.
     """
     identity = tuple(range(degree))
     gen_images = [g.images for g in gens]
@@ -413,12 +421,40 @@ def blocks_and_primitivity(G: PermGroup) -> tuple[list[BlockSystem], bool]:
 # -- coset actions -------------------------------------------------------------
 
 
+def _coset_trie(images: list[tuple[int, ...]], depth: int = 0):
+    """A compressed trie of sorted image tuples that agree before ``depth``.
+
+    A leaf is the one tuple left; an internal node is a dict from the value
+    at the first position where its tuples differ to the subtrie of the
+    tuples holding that value there. Every internal node branches, so there
+    are at most len(images) - 1 of them. For the elements of a group H, the
+    tuples under a node form a coset of a pointwise stabilizer, which at least
+    halves at each branching, so a path meets at most log2 |H| of them.
+    """
+    if len(images) == 1:
+        return images[0]
+    # sorted: the first and last tuple agree exactly where all of them do
+    while images[0][depth] == images[-1][depth]:
+        depth += 1
+    return {y: _coset_trie(list(run), depth + 1)
+            for y, run in groupby(images, key=itemgetter(depth))}
+
+
 class CosetAction:
     """The action of G on the right cosets of H = <H_gens>.
 
-    ``image`` carries G's generators to the coset permutation group;
-    ``act(p)`` maps any element of G (given in the original degree) to its
-    permutation of the cosets. Coset 0 is H itself.
+    ``group`` is the permutation group that G's generators induce on the
+    cosets; ``act(p)`` maps any element of G (given in the original degree)
+    to its permutation of the cosets. Coset 0 is H itself.
+
+    A coset H r is keyed by its lexicographically least image tuple. Its
+    elements are the tuples (r[h[0]], ..., r[h[n-1]]) for h in H, so the key
+    is read off a compressed trie of H's sorted image tuples: where the
+    remaining h first differ, at some position p, every candidate agrees
+    with the others before p and has r[h[p]] at p, so the least one takes
+    the child y = h[p] with the least r[y], which is unique because r is a
+    bijection. A key costs about the sum of H's basic orbit lengths, not
+    |H| * n.
     """
 
     def __init__(self, G: PermGroup, H_gens, degree_budget: int = DEFAULT_DEGREE_BUDGET,
@@ -437,23 +473,21 @@ class CosetAction:
         if index > degree_budget:
             raise BudgetError(f"coset index {index} exceeds degree budget {degree_budget}")
 
-        self._H_images = [h.images for h in H_elems]
-        identity = Permutation.identity(G.degree)
-        key0 = self._coset_key(identity)
-        self._key_to_index = {key0: 0}
+        self._trie = _coset_trie([h.images for h in H_elems])
+        identity = tuple(range(G.degree))
+        self._key_to_index = {self._coset_key(identity): 0}
         self._reps = [identity]
-        frontier = [0]
+        frontier = [identity]
         while frontier:
             new_frontier = []
-            for i in frontier:
-                rep = self._reps[i]
+            for rep in frontier:
                 for g in G.generators:
-                    moved = compose(rep, g)
+                    moved = tuple(map(g.images.__getitem__, rep))
                     key = self._coset_key(moved)
                     if key not in self._key_to_index:
                         self._key_to_index[key] = len(self._reps)
                         self._reps.append(moved)
-                        new_frontier.append(self._key_to_index[key])
+                        new_frontier.append(moved)
             frontier = new_frontier
         if len(self._reps) != index:
             raise PermError("coset enumeration did not reach the full index")
@@ -461,17 +495,18 @@ class CosetAction:
         self.degree = index
         self.group = PermGroup([self.act(g) for g in G.generators], index, name=name)
 
-    def _coset_key(self, rep: Permutation) -> tuple[int, ...]:
-        rep_images = rep.images
-        return min(tuple(rep_images[i] for i in h) for h in self._H_images)
+    def _coset_key(self, rep: tuple[int, ...]) -> tuple[int, ...]:
+        """The least image tuple of the coset H rep, by a walk down the trie."""
+        node = self._trie
+        while type(node) is dict:
+            node = node[min(node, key=rep.__getitem__)]
+        return tuple(map(rep.__getitem__, node))
 
     def act(self, p: Permutation) -> Permutation:
         """Permutation induced by p on the cosets."""
-        images = []
-        for rep in self._reps:
-            key = self._coset_key(compose(rep, p))
-            images.append(self._key_to_index[key])
-        return Permutation(images)
+        p_at = p.images.__getitem__
+        return Permutation(self._key_to_index[self._coset_key(tuple(map(p_at, rep)))]
+                           for rep in self._reps)
 
 
 def coset_action(G: PermGroup, H_gens, degree_budget: int = DEFAULT_DEGREE_BUDGET,

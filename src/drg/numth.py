@@ -200,7 +200,14 @@ def dominance_holds(m: int, ell: int) -> bool:
     Primes p > m are vacuous: there ell mod p = ell <= m = m mod p, so only
     5 <= p <= m needs checking.
     """
-    for p in primes_up_to(m):
+    return _dominance_over(m, ell, primes_up_to(m))
+
+
+def _dominance_over(m: int, ell: int, primes: list[int]) -> bool:
+    """``dominance_holds(m, ell)``, given the primes in increasing order up to at least m."""
+    for p in primes:
+        if p > m:
+            return True
         if p >= 5 and ell % p > m % p:
             return False
     return True
@@ -210,10 +217,11 @@ def mod_dominance_classify(M: int) -> list[tuple[int, int]]:
     """All pairs (m, ell), 5 <= m <= M, 1 <= ell <= m-1, with the dominance property."""
     if M < 9:
         raise ValueError("classification needs M >= 9")
+    primes = primes_up_to(M)
     out = []
     for m in range(5, M + 1):
         for ell in range(1, m):
-            if dominance_holds(m, ell):
+            if _dominance_over(m, ell, primes):
                 out.append((m, ell))
     return out
 

@@ -22,6 +22,7 @@ Each exhaustive search stops at a proven ceiling, never below the answer:
 from __future__ import annotations
 
 from math import gcd
+from operator import eq
 
 from .group import PermGroup, close_subgroup
 from .perm import Permutation
@@ -35,17 +36,21 @@ def closure_order(G: PermGroup, cap: int = 10 ** 6) -> int:
 
 
 def _adjacency_bitsets(images: list[tuple[int, ...]], complement: bool) -> list[int]:
+    """Rows of the derangement graph on ``images``, or of its complement.
+
+    Two elements are adjacent in the derangement graph iff they agree at no
+    point. Agreement is symmetric, so each unordered pair is tested once and
+    sets both bits.
+    """
     n = len(images)
     rows = [0] * n
-    for i in range(n):
-        gi = images[i]
-        bits = 0
-        for j in range(n):
-            if j == i:
-                continue
-            differs_everywhere = all(a != b for a, b in zip(gi, images[j]))
-            if differs_everywhere != complement:
+    for i, gi in enumerate(images):
+        bit_i = 1 << i
+        bits = rows[i]
+        for j in range(i + 1, n):
+            if any(map(eq, gi, images[j])) == complement:
                 bits |= 1 << j
+                rows[j] |= bit_i
         rows[i] = bits
     return rows
 

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from drg.catalog import catalog_load
 from drg.group import (
     BlockSystem,
     BudgetError,
@@ -232,6 +233,38 @@ def test_coset_action_homomorphism():
         p = G.random_element(rng)
         q = G.random_element(rng)
         assert act.act(compose(p, q)) == compose(act.act(p), act.act(q))
+
+
+def test_coset_key_is_least_element_of_coset():
+    m11 = catalog_load("M11:11")
+    psp = catalog_load("PSp4(3):40")
+    cases = [(m11, sub) for sub in m11.subgroups] + [(psp, "index36_stabilizer")]
+    rng = random.Random(36)
+    for gf, sub in cases:
+        G, H_gens = gf.group, gf.subgroups[sub]
+        act = coset_action(G, H_gens)
+        H = [h.images for h in brute_closure(H_gens, G.degree)]
+        for _ in range(200):
+            rep = G.random_element(rng).images
+            brute = min(tuple(rep[i] for i in h) for h in H)
+            assert act._coset_key(rep) == brute, (gf.name, sub, rep)
+
+
+def test_coset_action_trivial_subgroup_is_regular():
+    G = sym(4)
+    act = coset_action(G, [Permutation.identity(4)])
+    assert act.degree == G.order() == 24
+    assert act.group.order() == 24
+    rep = G.random_element(random.Random(5)).images
+    assert act._coset_key(rep) == rep
+    for g in act.group.elements():
+        assert g.is_identity() or all(i != j for i, j in enumerate(g.images))
+
+
+def test_coset_action_reproduces_shipped_psp43_degree36():
+    psp = catalog_load("PSp4(3):40")
+    act = coset_action(psp.group, psp.subgroups["index36_stabilizer"])
+    assert act.group.generators == catalog_load("PSp4(3):36").group.generators
 
 
 def test_block_image():

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from drg import __version__
-from drg.catalog import catalog_load, data_dir
+from drg.catalog import catalog_index, catalog_load, data_dir
 from drg.checks import (
     Budgets,
     CheckError,
@@ -22,6 +22,7 @@ from drg.cli import main as cli_main
 from drg.graph import are_adjacent
 from drg.group import PermGroup, close_subgroup
 from drg.oracles import (
+    _adjacency_bitsets,
     closure_order,
     exhaustive_max_clique,
     exhaustive_max_coclique,
@@ -242,6 +243,19 @@ def test_oracles_against_naive_enumeration():
     for name, order in (("PSL2(7):8", 8),              # stops at the degree
                         ("A5:6", 3), ("S5:10", 5)):    # the full walk
         assert exhaustive_max_semiregular(catalog_load(name).group) == order, name
+
+
+def test_oracle_adjacency_rows_match_definition():
+    for rec in catalog_index():
+        if rec["order"] > 60:
+            continue
+        images = catalog_load(rec["name"]).group.element_images()
+        for complement in (False, True):
+            rows = _adjacency_bitsets(images, complement)
+            for i, gi in enumerate(images):
+                want = sum(1 << j for j, gj in enumerate(images)
+                           if j != i and all(a != b for a, b in zip(gi, gj)) != complement)
+                assert rows[i] == want, (rec["name"], complement, i)
 
 
 # -- CLI ----------------------------------------------------------------------------
