@@ -12,7 +12,7 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import __version__
@@ -20,6 +20,7 @@ from .catalog import GroupFile, IntegrityError, catalog_index, catalog_load, res
 from .constructions import (
     WreathSpec,
     cyclic_group,
+    matrix_has_eigenvalue_in_base,
     ppd_block_witness,
     product_clique,
     rank_one_unipotent_family,
@@ -34,6 +35,7 @@ from .graph import (
     DEFAULT_NODE_BUDGET,
     CliqueCertificate,
     CocliqueCertificate,
+    are_adjacent,
     clique_coclique_audit,
     density_bounds,
     find_k_clique,
@@ -80,13 +82,7 @@ class Budgets:
     extensions: int = DEFAULT_EXTENSION_BUDGET
 
     def to_json_dict(self) -> dict:
-        return {
-            "elements": self.elements,
-            "nodes": self.nodes,
-            "subgroup": self.subgroup,
-            "degree": self.degree,
-            "extensions": self.extensions,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -161,7 +157,7 @@ def run_check(check_id: str, budgets: Budgets | None = None) -> CheckReport:
 def _greedy_extend(prefix: list[Permutation], k: int, degree: int) -> CliqueCertificate | None:
     chosen: list[Permutation] = []
     for p in prefix:
-        if all(all(a != b for a, b in zip(p.images, q.images)) for q in chosen):
+        if all(are_adjacent(p, q) for q in chosen):
             chosen.append(p)
             if len(chosen) == k - 1:
                 cert = CliqueCertificate([Permutation.identity(degree)] + chosen)
@@ -469,15 +465,13 @@ def _check_unipotent(budgets: Budgets):
           "form and has irreducible characteristic block for (m, f) = (2,2) and (3,1); "
           "(f, m) in {(1,2), (3,2), (1,6)} is rejected")
 def _check_ppd_witness(budgets: Budgets):
-    from .constructions import char_poly, poly_has_root
-
     results = {}
     for m, f, want_p in ((2, 2, 5), (3, 1, 7)):
         g, A, J, p = ppd_block_witness(m, f)
         if p != want_p or mat_order(g) != p or not preserves_symplectic(g, J):
             return "fail", {"m": m, "f": f}, None, "order or form preservation failed"
-        cp = char_poly(A)
-        if len(cp) != m + 1 or poly_has_root(cp, A.field):
+        # in degree 2 and 3 a polynomial without a root in the field is irreducible
+        if matrix_has_eigenvalue_in_base(A):
             return "fail", {"m": m, "f": f}, None, "characteristic polynomial reducible"
         results[f"m={m},f={f}"] = {"p": p, "dimension": 2 * m}
     for f, m in ((1, 2), (3, 2), (1, 6)):
@@ -494,8 +488,6 @@ def _check_ppd_witness(budgets: Budgets):
           "order (q^(m/2)+1)/gcd(2, q-1) and eigenvalue-free nontrivial powers for "
           "(m, q) in {(2,5), (4,3), (2,4)}")
 def _check_singer(budgets: Budgets):
-    from .constructions import matrix_has_eigenvalue_in_base
-
     results = {}
     for (m, q), want in (((2, 5), 3), ((4, 3), 5), ((2, 4), 5)):
         X, Q, expect = singer_minus(m, q)

@@ -173,8 +173,8 @@ def cmd_verify_cert(args) -> int:
             print(f"unknown certificate type {kind!r}", file=sys.stderr)
             return 3
     except (KeyError, TypeError, PermError, json.JSONDecodeError, OSError) as exc:
-        # not a certificate: a JSON array, a vertex that is no permutation,
-        # generators of another degree
+        # not a certificate: a JSON array, a vertex or generator that is no
+        # permutation
         print(f"error: bad certificate file: {exc}", file=sys.stderr)
         return 3
     except (CertificateError, WitnessError) as exc:

@@ -303,9 +303,10 @@ def norm_form(big: GF, ext: ExtensionBasis, field_q: GF) -> QuadraticForm:
     m = ext.m
     half = q ** (m // 2)
     iso = ext._subfield_iso(field_q)
+    uniso = {v: k for k, v in iso.items()}
 
     def evaluate(vec):
-        v = ext.element_of(tuple(_uniso(ext, field_q, c) for c in vec))
+        v = ext.element_of(tuple(uniso[c] for c in vec))
         w = big.mul(v, big.pow(v, half))  # the relative norm, in F_{q^{m/2}}
         tr = big.zero
         acc = w
@@ -315,16 +316,6 @@ def norm_form(big: GF, ext: ExtensionBasis, field_q: GF) -> QuadraticForm:
         return iso[tr]
 
     return QuadraticForm(field_q, m, evaluate)
-
-
-def _uniso(ext: ExtensionBasis, field_q: GF, c):
-    """Inverse of the subfield isomorphism, small and cached."""
-    cache = getattr(ext, "_unmap", None)
-    if cache is None:
-        iso = ext._subfield_iso(field_q)
-        cache = {v: k for k, v in iso.items()}
-        ext._unmap = cache
-    return cache[c]
 
 
 def singer_minus(m: int, q: int) -> tuple[Matrix, QuadraticForm, int]:
@@ -361,64 +352,5 @@ def matrix_has_eigenvalue_in_base(M: Matrix) -> bool:
         for i in range(n):
             shifted[i][i] = F.sub(shifted[i][i], c)
         if Matrix(F, tuple(tuple(r) for r in shifted)).det() == F.zero:
-            return True
-    return False
-
-
-def char_poly(M: Matrix) -> list:
-    """Characteristic polynomial det(xI - M), low degree first, by expansion."""
-    from itertools import permutations
-
-    F = M.field
-    n = M.dim
-
-    def poly_mul(a, b):
-        out = [F.zero] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                out[i + j] = F.add(out[i + j], F.mul(x, y))
-        return out
-
-    def poly_add(a, b):
-        length = max(len(a), len(b))
-        a = list(a) + [F.zero] * (length - len(a))
-        b = list(b) + [F.zero] * (length - len(b))
-        return [F.add(x, y) for x, y in zip(a, b)]
-
-    total = [F.zero] * (n + 1)
-    for sigma in permutations(range(n)):
-        sign = 1
-        seen = [False] * n
-        for i in range(n):
-            if not seen[i]:
-                j = i
-                length = 0
-                while not seen[j]:
-                    seen[j] = True
-                    j = sigma[j]
-                    length += 1
-                if length % 2 == 0:
-                    sign = -sign
-        term = [F.one]
-        for i in range(n):
-            entry = F.neg(M.rows[i][sigma[i]])
-            if sigma[i] == i:
-                term = poly_mul(term, [entry, F.one])  # x - M[i][i]
-            else:
-                term = poly_mul(term, [entry])
-        if sign < 0:
-            term = [F.neg(c) for c in term]
-        total = poly_add(total, term)
-    return total
-
-
-def poly_has_root(poly: list, field: GF) -> bool:
-    for c in field.elements():
-        acc = field.zero
-        power = field.one
-        for coef in poly:
-            acc = field.add(acc, field.mul(coef, power))
-            power = field.mul(power, c)
-        if acc == field.zero:
             return True
     return False

@@ -240,13 +240,6 @@ class Matrix:
     def transpose(self) -> "Matrix":
         return Matrix(self.field, tuple(zip(*self.rows)))
 
-    def add(self, other: "Matrix") -> "Matrix":
-        F = self.field
-        return Matrix(F, tuple(
-            tuple(F.add(x, y) for x, y in zip(r1, r2))
-            for r1, r2 in zip(self.rows, other.rows)
-        ))
-
     def sub(self, other: "Matrix") -> "Matrix":
         F = self.field
         return Matrix(F, tuple(
@@ -303,27 +296,14 @@ class Matrix:
         return self == Matrix.identity(self.field, self.dim)
 
     def inverse(self) -> "Matrix":
-        F = self.field
+        """Gauss-Jordan on [M | I]: the pivots are taken in M's n columns."""
         n = self.dim
-        aug = [list(r) + list(Matrix.identity(F, n).rows[i]) for i, r in enumerate(self.rows)]
-        rank = 0
-        for col in range(n):
-            pivot = None
-            for r in range(rank, n):
-                if aug[r][col] != F.zero:
-                    pivot = r
-                    break
-            if pivot is None:
-                raise FieldError("matrix is singular")
-            aug[rank], aug[pivot] = aug[pivot], aug[rank]
-            inv = F.inv(aug[rank][col])
-            aug[rank] = [F.mul(inv, x) for x in aug[rank]]
-            for r in range(n):
-                if r != rank and aug[r][col] != F.zero:
-                    factor = aug[r][col]
-                    aug[r] = [F.sub(x, F.mul(factor, y)) for x, y in zip(aug[r], aug[rank])]
-            rank += 1
-        return Matrix(F, tuple(tuple(row[n:]) for row in aug))
+        ident = Matrix.identity(self.field, n).rows
+        augmented = Matrix(self.field, tuple(r + e for r, e in zip(self.rows, ident)))
+        rows, rank, _ = augmented._eliminated()
+        if rank < n:
+            raise FieldError("matrix is singular")
+        return Matrix(self.field, tuple(tuple(row[n:]) for row in rows))
 
     def order(self, cap: int = 10 ** 6) -> int:
         """Multiplicative order; raises on singular input."""

@@ -29,6 +29,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import ClassVar
 
 from .group import DEFAULT_ELEMENT_BUDGET, BudgetError, PermGroup
 from .perm import Permutation, PermError, has_fixed_point
@@ -83,8 +84,11 @@ def are_adjacent(g: Permutation, h: Permutation) -> bool:
 
 
 @dataclass
-class CliqueCertificate:
+class _VertexCertificate:
+    """A list of group elements; ``kind`` names the claim in its JSON."""
+
     vertices: list[Permutation]
+    kind: ClassVar[str]
 
     @property
     def size(self) -> int:
@@ -92,26 +96,18 @@ class CliqueCertificate:
 
     def to_json_dict(self) -> dict:
         return {
-            "type": "clique",
+            "type": self.kind,
             "degree": self.vertices[0].degree,
             "vertices": [list(v.images) for v in self.vertices],
         }
 
 
-@dataclass
-class CocliqueCertificate:
-    vertices: list[Permutation]
+class CliqueCertificate(_VertexCertificate):
+    kind = "clique"
 
-    @property
-    def size(self) -> int:
-        return len(self.vertices)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "type": "coclique",
-            "degree": self.vertices[0].degree,
-            "vertices": [list(v.images) for v in self.vertices],
-        }
+class CocliqueCertificate(_VertexCertificate):
+    kind = "coclique"
 
 
 class CertificateError(ValueError):

@@ -45,6 +45,26 @@ class _ChainLevel:
         self.transversal: dict[int, Permutation] = {}
 
 
+def _transversal(x: int, gens, degree: int) -> dict[int, Permutation]:
+    """The orbit of x under gens, breadth first: point y -> u with x^u = y.
+
+    Keys come in discovery order, the generators tried in their given order.
+    """
+    transversal = {x: Permutation.identity(degree)}
+    frontier = [x]
+    while frontier:
+        new_frontier = []
+        for a in frontier:
+            ua = transversal[a]
+            for g in gens:
+                b = g.images[a]
+                if b not in transversal:
+                    transversal[b] = compose(ua, g)
+                    new_frontier.append(b)
+        frontier = new_frontier
+    return transversal
+
+
 def _times_each(walk, transversal: list[tuple[int, ...]]):
     """Each element of ``walk`` followed by each transversal element, in turn."""
     return (tuple(map(u.__getitem__, p)) for p in walk for u in transversal)
@@ -91,22 +111,6 @@ class PermGroup:
         self._chain.append(level)
         return len(self._chain) - 1
 
-    def _rebuild_orbit(self, i: int) -> None:
-        level = self._chain[i]
-        gens = self._strong_gens_at(i)
-        level.transversal = {level.base: Permutation.identity(self.degree)}
-        frontier = [level.base]
-        while frontier:
-            new_frontier = []
-            for x in frontier:
-                ux = level.transversal[x]
-                for g in gens:
-                    y = g.images[x]
-                    if y not in level.transversal:
-                        level.transversal[y] = compose(ux, g)
-                        new_frontier.append(y)
-            frontier = new_frontier
-
     def _sift_residue(self, p: Permutation, start: int = 0) -> Permutation:
         """Strip transversal factors from p; identity iff p is in the span."""
         for level in self._chain[start:]:
@@ -148,7 +152,8 @@ class PermGroup:
                 self._file_gen(g)
         i = len(self._chain) - 1
         while i >= 0:
-            self._rebuild_orbit(i)
+            level = self._chain[i]
+            level.transversal = _transversal(level.base, self._strong_gens_at(i), self.degree)
             filed_at = self._verify_level(i)
             if filed_at is None:
                 i -= 1
@@ -250,17 +255,7 @@ class PermGroup:
         """Generators of the stabilizer of x, via Schreier's lemma."""
         if not 0 <= x < self.degree:
             raise PermError(f"point {x} out of range")
-        transversal = {x: Permutation.identity(self.degree)}
-        frontier = [x]
-        while frontier:
-            new_frontier = []
-            for a in frontier:
-                for g in self.generators:
-                    b = g.images[a]
-                    if b not in transversal:
-                        transversal[b] = compose(transversal[a], g)
-                        new_frontier.append(b)
-            frontier = new_frontier
+        transversal = _transversal(x, self.generators, self.degree)
         target = self.order() // len(transversal)
         schreier = []
         seen = set()
@@ -292,10 +287,13 @@ def close_subgroup(gens, degree: int, cap: int) -> list[Permutation] | None:
 
     The elements come sorted by image tuple. Independent of the stabilizer
     chain; used as the enumeration oracle for small subgroups and by searches
-    that must abort early.
+    that must abort early. A generator of another degree raises PermError.
     """
-    identity = tuple(range(degree))
     gen_images = [g.images for g in gens]
+    for g in gen_images:
+        if len(g) != degree:
+            raise PermError(f"generator degree {len(g)} != subgroup degree {degree}")
+    identity = tuple(range(degree))
     elems = {identity}
     frontier = [identity]
     while frontier:

@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from .group import (
     DEFAULT_ELEMENT_BUDGET,
@@ -103,6 +103,9 @@ def is_semiregular_subgroup(H_gens, degree: int,
 def validate_semiregular(witness: SemiregularWitness, degree: int,
                          subgroup_budget: int = DEFAULT_SUBGROUP_BUDGET) -> None:
     """Independent re-verification of a witness, from the definition."""
+    for g in witness.generators:
+        if g.degree != degree:
+            raise WitnessError(f"generator {g!r} has degree {g.degree}, not {degree}")
     elems = close_subgroup(witness.generators, degree, subgroup_budget)
     if elems is None:
         raise WitnessError("witness subgroup exceeds the verification budget")
@@ -408,6 +411,17 @@ def lift_semiregular(G: PermGroup, system: BlockSystem, Xbar_gens: list[Permutat
 # -- product actions --------------------------------------------------------------
 
 
+def _cycle_products(h_list: list[Permutation], a: Permutation):
+    """Each cycle of a with the ordered product of the h's around it."""
+    if a.degree != len(h_list):
+        raise PermError("coordinate permutation degree must match the h list")
+    for cyc in a.cycles():
+        prod = h_list[cyc[0]]
+        for j in cyc[1:]:
+            prod = compose(prod, h_list[j])
+        yield cyc, prod
+
+
 def product_action_fpf(h_list: list[Permutation], a: Permutation) -> bool:
     """Fixed-point-freeness of (h_1, ..., h_k)a on Delta^k, without expanding it.
 
@@ -415,28 +429,12 @@ def product_action_fpf(h_list: list[Permutation], a: Permutation) -> bool:
     h's admits a fixed point on Delta, so the element is fixed-point-free
     iff some cycle product is a derangement.
     """
-    if a.degree != len(h_list):
-        raise PermError("coordinate permutation degree must match the h list")
-    for cyc in a.cycles():
-        prod = h_list[cyc[0]]
-        for j in cyc[1:]:
-            prod = compose(prod, h_list[j])
-        if is_derangement(prod):
-            return True
-    return False
+    return any(is_derangement(prod) for _, prod in _cycle_products(h_list, a))
 
 
 def product_action_order(h_list: list[Permutation], a: Permutation) -> int:
     """Order of (h_1, ..., h_k)a in the product action."""
-    from math import lcm
-
-    total = 1
-    for cyc in a.cycles():
-        prod = h_list[cyc[0]]
-        for j in cyc[1:]:
-            prod = compose(prod, h_list[j])
-        total = lcm(total, len(cyc) * prod.order())
-    return total
+    return lcm(*(len(cyc) * prod.order() for cyc, prod in _cycle_products(h_list, a)))
 
 
 def product_action_perm(h_list: list[Permutation], a: Permutation) -> Permutation:

@@ -6,13 +6,11 @@ import pytest
 from drg.constructions import (
     WreathSpec,
     alt_subset_semiregular_witness,
-    char_poly,
     cyclic_group,
     dihedral_group,
     matrix_has_eigenvalue_in_base,
     natural_alt,
     natural_sym,
-    poly_has_root,
     ppd_block_witness,
     product_clique,
     projective_line_psl2,
@@ -223,9 +221,7 @@ def test_ppd_block_witness_2_2():
     assert p == 5
     assert mat_order(g) == 5
     assert preserves_symplectic(g, J)
-    cp = char_poly(A)
-    assert len(cp) == 3  # degree 2
-    assert not poly_has_root(cp, A.field)  # irreducible since degree 2
+    assert not matrix_has_eigenvalue_in_base(A)  # degree 2: irreducible
 
 
 def test_ppd_block_witness_3_1():
@@ -233,9 +229,7 @@ def test_ppd_block_witness_3_1():
     assert p == 7
     assert mat_order(g) == 7
     assert preserves_symplectic(g, J)
-    cp = char_poly(A)
-    assert len(cp) == 4
-    assert not poly_has_root(cp, A.field)  # no roots and degree 3: irreducible
+    assert not matrix_has_eigenvalue_in_base(A)  # no roots and degree 3: irreducible
 
 
 def test_ppd_block_witness_exceptions():
@@ -264,17 +258,3 @@ def test_singer_minus_degenerate_case():
 def test_singer_minus_rejects_odd_m():
     with pytest.raises(ValueError):
         singer_minus(3, 4)
-
-
-def test_char_poly_satisfied_by_matrix():
-    F = GF(3)
-    M = Matrix.from_lists(F, [[1, 2], [1, 1]])
-    cp = char_poly(M)
-    # evaluate cp at M: should be the zero matrix (Cayley-Hamilton)
-    acc = Matrix.from_lists(F, [[0, 0], [0, 0]])
-    power = Matrix.identity(F, 2)
-    for coef in cp:
-        scaled = Matrix(F, tuple(tuple(F.mul(coef, x) for x in row) for row in power.rows))
-        acc = acc.add(scaled)
-        power = power * M
-    assert acc == Matrix.from_lists(F, [[0, 0], [0, 0]])

@@ -1,4 +1,5 @@
 import random
+from itertools import product as iproduct
 
 import pytest
 
@@ -133,3 +134,53 @@ def test_extension_mult_matrix_is_homomorphism():
         m_mu = ext.mult_matrix(mu, Fq)
         assert m_lam * m_mu == ext.mult_matrix(big.mul(lam, mu), Fq)
         assert mat_order(m_lam) == big.element_order(lam)
+
+
+def _small_matrices():
+    """Every 2x2 matrix over GF(2), GF(3) and GF(4), and every 3x3 one over GF(2)."""
+    for F, n in ((GF(2), 2), (GF(3), 2), (GF(2, 2), 2), (GF(2), 3)):
+        for entries in iproduct(F.elements(), repeat=n * n):
+            yield Matrix(F, tuple(entries[i * n:(i + 1) * n] for i in range(n)))
+
+
+def _char_poly_at(M, c):
+    """det(c I - M) for n = 2 or 3, written out from trace, principal minors and det."""
+    F, a = M.field, M.rows
+    add, sub, mul = F.add, F.sub, F.mul
+
+    def minor(i, j):
+        return sub(mul(a[i][i], a[j][j]), mul(a[i][j], a[j][i]))
+
+    if M.dim == 2:
+        trace, det = add(a[0][0], a[1][1]), minor(0, 1)
+        return add(sub(mul(c, c), mul(trace, c)), det)
+    trace = add(add(a[0][0], a[1][1]), a[2][2])
+    minors = add(add(minor(0, 1), minor(0, 2)), minor(1, 2))
+    det = add(sub(mul(a[0][0], minor(1, 2)),
+                  mul(a[0][1], sub(mul(a[1][0], a[2][2]), mul(a[1][2], a[2][0])))),
+              mul(a[0][2], sub(mul(a[1][0], a[2][1]), mul(a[1][1], a[2][0]))))
+    c2 = mul(c, c)
+    return sub(add(sub(mul(c2, c), mul(trace, c2)), mul(minors, c)), det)
+
+
+def test_eigenvalue_test_matches_characteristic_polynomial():
+    from drg.constructions import matrix_has_eigenvalue_in_base
+
+    count = 0
+    for M in _small_matrices():
+        F = M.field
+        has_root = any(_char_poly_at(M, c) == F.zero for c in F.elements())
+        assert matrix_has_eigenvalue_in_base(M) == has_root, M
+        count += 1
+    assert count == 16 + 81 + 256 + 512
+
+
+def test_matrix_inverse_on_all_small_matrices():
+    for M in _small_matrices():
+        F = M.field
+        if _char_poly_at(M, F.zero) == F.zero:  # +-det(M)
+            with pytest.raises(FieldError):
+                M.inverse()
+        else:
+            inv = M.inverse()
+            assert (M * inv).is_identity() and (inv * M).is_identity(), M

@@ -74,6 +74,21 @@ def test_order_matches_brute_force_closure():
         assert G.order() == len(brute_closure(gens, n))
 
 
+def test_close_subgroup_rejects_generator_of_another_degree():
+    with pytest.raises(PermError):
+        close_subgroup([Permutation([1, 0, 2, 3])], 2, 10)
+    with pytest.raises(PermError):
+        close_subgroup([parse_cycles("(0,1)", 3), Permutation([1, 0, 2, 3])], 3, 10)
+
+
+def test_point_stabilizer_gens_generate_the_stabilizer():
+    for G in (sym(5), alt(6), cyclic(6), PermGroup([parse_cycles("(0,1)", 4)])):
+        for x in range(G.degree):
+            gens = G.point_stabilizer_gens(x)
+            assert all(g.images[x] == x for g in gens)
+            assert PermGroup(gens, G.degree).order() == G.order() // len(G.orbit(x))
+
+
 def test_membership():
     G = alt(5)
     assert G.membership(Permutation.identity(5))

@@ -368,6 +368,15 @@ def test_cli_verify_cert_semiregular(tmp_path, capsys):
     payload["order"] = 11
     path.write_text(json.dumps(payload))
     assert cli_main(["verify-cert", str(path)]) == 1
+    # generators of another degree: at degree 2 the first one reads as a
+    # transposition, a valid witness of order 2; at degree 6 its closure
+    # would index past its images
+    for degree, gens in ((2, [[1, 0, 2, 3]]), (6, [[1, 0, 2, 3]]), (3, [[1, 0, 3, 2]])):
+        path.write_text(json.dumps({"type": "semiregular", "degree": degree,
+                                    "order": 2, "generators": gens}))
+        capsys.readouterr()
+        assert cli_main(["verify-cert", str(path)]) == 1, degree
+        assert "INVALID" in capsys.readouterr().out, degree
 
 
 def test_cli_verify_cert_bad_file(tmp_path, capsys):
@@ -377,8 +386,8 @@ def test_cli_verify_cert_bad_file(tmp_path, capsys):
         "top-level array": "[]",
         "vertex not a permutation": json.dumps({"type": "clique",
                                                 "vertices": [[0, 1, 2], [0, 0, 1]]}),
-        "generators of another degree": json.dumps({"type": "semiregular", "degree": 3,
-                                                    "order": 2, "generators": [[1, 0, 3, 2]]}),
+        "generator not a permutation": json.dumps({"type": "semiregular", "degree": 3,
+                                                   "order": 2, "generators": [[1, 1, 0]]}),
     }
     for case, text in bad_files.items():
         path = tmp_path / "junk.json"

@@ -6,7 +6,7 @@ import pytest
 from drg.catalog import catalog_index, catalog_load
 from drg.checks import Budgets
 from drg.group import BlockSystem, PermGroup, close_subgroup
-from drg.perm import Permutation, compose, is_derangement, parse_cycles
+from drg.perm import Permutation, PermError, compose, is_derangement, parse_cycles
 from drg.semireg import (
     ElusivenessReport,
     _extend_semiregular,
@@ -250,6 +250,12 @@ def test_validate_semiregular_rejects_bad():
     w = SemiregularWitness("S4", [parse_cycles("(1,2)", 4)], 2, "catalog")
     with pytest.raises(WitnessError):
         validate_semiregular(w, 4)
+    # on its first two points the generator is a transposition, so a closure
+    # read at degree 2 sees a semiregular group of order 2
+    w = SemiregularWitness("bad", [Permutation([1, 0, 2, 3])], 2, "catalog")
+    for degree in (2, 6):
+        with pytest.raises(WitnessError, match="has degree 4"):
+            validate_semiregular(w, degree)
 
 
 def test_lift_semiregular_doubled_action():
@@ -332,6 +338,14 @@ def test_product_action_fpf_brute_force():
         big = product_action_perm(hs, a)
         assert fast == is_derangement(big)
         assert product_action_order(hs, a) == big.order()
+
+
+def test_product_action_order_rejects_degree_mismatch():
+    d = parse_cycles("(0,1,2)", 3)
+    with pytest.raises(PermError):
+        product_action_order([d, d, d], Permutation.identity(2))
+    with pytest.raises(PermError):
+        product_action_fpf([d], Permutation.identity(2))
 
 
 def test_wreath_elusive_not_elusive_alt5():

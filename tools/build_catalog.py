@@ -323,17 +323,17 @@ def build() -> None:
     unitary_gens.append(diag)
     # one non-monomial unitary found by brute force over 2x2 blocks
     block = None
-    for a_int in range(81):
+    for a_int in range(9):
         if block:
             break
-        for b_int in range(81):
+        for b_int in range(9):
             a, b = f9.from_int(a_int), f9.from_int(b_int)
             col1 = (a, b)
             if f9.add(f9.mul(a, f9.pow(a, 3)), f9.mul(b, f9.pow(b, 3))) != f9.one:
                 continue
-            for c_int in range(81):
-                c, d_candidates = f9.from_int(c_int), []
-                for d_int in range(81):
+            for c_int in range(9):
+                c = f9.from_int(c_int)
+                for d_int in range(9):
                     d = f9.from_int(d_int)
                     if (f9.add(f9.mul(c, f9.pow(c, 3)), f9.mul(d, f9.pow(d, 3))) == f9.one
                             and f9.add(f9.mul(a, f9.pow(c, 3)), f9.mul(b, f9.pow(d, 3))) == f9.zero):
