@@ -43,8 +43,8 @@ from .graph import (
     max_intersecting_family,
     validate_clique,
 )
-from .group import (DEFAULT_DEGREE_BUDGET, DEFAULT_ELEMENT_BUDGET, DEFAULT_SUBGROUP_BUDGET,
-                    BudgetError, PermGroup, blocks_and_primitivity, close_subgroup, coset_action)
+from .group import (DEFAULT_DEGREE_BUDGET, DEFAULT_ELEMENT_BUDGET, BudgetError, PermGroup,
+                    blocks_and_primitivity, coset_action)
 from .numth import (
     cyclotomic_value,
     divisors,
@@ -57,7 +57,6 @@ from .numth import (
 )
 from .perm import Permutation, is_derangement
 from .semireg import (
-    DEFAULT_EXTENSION_BUDGET,
     SemiregularWitness,
     common_cycle_length,
     element_census,
@@ -77,9 +76,7 @@ REPORT_SCHEMA_VERSION = 1
 class Budgets:
     elements: int = DEFAULT_ELEMENT_BUDGET
     nodes: int = DEFAULT_NODE_BUDGET
-    subgroup: int = DEFAULT_SUBGROUP_BUDGET
     degree: int = DEFAULT_DEGREE_BUDGET
-    extensions: int = DEFAULT_EXTENSION_BUDGET
 
     def to_json_dict(self) -> dict:
         return asdict(self)
@@ -206,29 +203,16 @@ def quick_k_clique(G: PermGroup, k: int, budgets: Budgets):
 _AUDIT_COCLIQUE_CAP = 720
 
 
-def _stabilizer_coclique(G: PermGroup, budgets: Budgets) -> CocliqueCertificate:
+def _stabilizer_coclique(G: PermGroup) -> CocliqueCertificate:
     """An intersecting family from the stabilizer of 0, capped for audit size.
 
-    The stabilizer order is known exactly from the chain, so enumeration
-    needs no budget; a prefix of a coclique is still a coclique. The caller
+    The stabilizer's order is known from its chain, so enumeration needs no
+    budget; a prefix of a coclique is still a coclique. The caller
     validates it once, with membership, in ``clique_coclique_audit``.
     """
-    stab_order = G.stabilizer_order()
-    gens = G.point_stabilizer_gens(0)
-    members = close_subgroup(gens, G.degree, stab_order + 1)
-    assert members is not None and len(members) == stab_order
-    return CocliqueCertificate(members[:_AUDIT_COCLIQUE_CAP])
-
-
-def _coset_semiregular_witness(action, seed_gens: list[Permutation], name: str,
-                               method: str, budgets: Budgets) -> SemiregularWitness:
-    image_gens = [action.act(g) for g in seed_gens]
-    elems = close_subgroup(image_gens, action.degree, budgets.subgroup)
-    if elems is None:
-        raise BudgetError("seed subgroup exceeds budget")
-    witness = SemiregularWitness(name, image_gens, len(elems), method)
-    validate_semiregular(witness, action.degree, budgets.subgroup)
-    return witness
+    stab = PermGroup(G.point_stabilizer_gens(0), G.degree)
+    members = stab.element_images(stab.order())[:_AUDIT_COCLIQUE_CAP]
+    return CocliqueCertificate([Permutation(x) for x in members])
 
 
 # -- the named checks -----------------------------------------------------------
@@ -272,16 +256,18 @@ def _check_m11_coset_orders(budgets: Budgets):
     for sub_name, (seed_name, want) in expected.items():
         action = coset_action(m11.group, m11.subgroups[sub_name],
                               degree_budget=budgets.degree,
-                              subgroup_budget=budgets.subgroup,
+                              element_budget=budgets.elements,
                               name=f"M11 on cosets of {sub_name}")
         if seed_name is None:
             # an order-11 element from the 11:5 subgroup is coprime to |A5|
-            elems = close_subgroup(m11.subgroups["11:5"], 11, budgets.subgroup)
-            seed = [next(p for p in elems if p.order() == 11)]
+            elems = PermGroup(m11.subgroups["11:5"], 11).element_images(budgets.elements)
+            seed = [next(p for p in map(Permutation, elems) if p.order() == 11)]
         else:
             seed = m11.subgroups[seed_name]
-        witness = _coset_semiregular_witness(
-            action, seed, f"M11 cosets of {sub_name}", "order-coprime", budgets)
+        image_gens = [action.act(g) for g in seed]
+        witness = SemiregularWitness(f"M11 cosets of {sub_name}", image_gens,
+                                     PermGroup(image_gens, action.degree).order(), "order-coprime")
+        validate_semiregular(witness, action.degree)
         if witness.order != want:
             return ("fail", {"action": sub_name},
                     witness.to_json_dict(), f"order {witness.order} != {want}")
@@ -297,10 +283,10 @@ def _check_thm13_maxima(budgets: Budgets):
     results = {}
     for name, bound in expectations.items():
         G = catalog_load(name).group
-        r = max_semiregular_order(G, budgets.elements, budgets.extensions, budgets.subgroup)
+        r = max_semiregular_order(G, budgets.elements, budgets.nodes)
         if not r.optimal:
             return "unknown", {"group": name}, None, "search did not close"
-        validate_semiregular(r.witness, G.degree, budgets.subgroup)
+        validate_semiregular(r.witness, G.degree)
         if name == "M11:12":
             ok = r.witness.order == 1
         else:
@@ -348,7 +334,7 @@ def _check_corpus_jordan(budgets: Budgets):
                 return "fail", {"group": name}, None, "no triangle found"
             row["triangle"] = 3
             top_cert = cert3
-        coclique = _stabilizer_coclique(G, budgets)
+        coclique = _stabilizer_coclique(G)
         clique_coclique_audit(top_cert, coclique, G)
         row["audit"] = f"{top_cert.size} * {coclique.size} <= {G.order()}"
         rows[name] = row
@@ -508,7 +494,7 @@ def _check_singer(budgets: Budgets):
 def _check_psp43(budgets: Budgets):
     gf40 = catalog_load("PSp4(3):40")
     action = coset_action(gf40.group, gf40.subgroups["index36_stabilizer"],
-                          degree_budget=budgets.degree, subgroup_budget=budgets.subgroup,
+                          degree_budget=budgets.degree, element_budget=budgets.elements,
                           name="PSp4(3):36")
     G36 = action.group
     if G36.degree != 36 or G36.order() != 25920:
@@ -522,10 +508,10 @@ def _check_psp43(budgets: Budgets):
     if witness is None:
         return "fail", {}, None, "no order-9 semiregular element found"
     w = SemiregularWitness("PSp4(3):36", [Permutation(witness)], 9, "cyclic-scan")
-    validate_semiregular(w, 36, budgets.subgroup)
+    validate_semiregular(w, 36)
     shipped = catalog_load("PSp4(3):36").subgroups["semiregular9"]
     shipped_w = SemiregularWitness("PSp4(3):36", shipped, 9, "catalog")
-    validate_semiregular(shipped_w, 36, budgets.subgroup)
+    validate_semiregular(shipped_w, 36)
     return "pass", {"degree": 36, "order": 25920}, w.to_json_dict(), ""
 
 
@@ -663,8 +649,7 @@ def _check_oracle_equivalence(budgets: Budgets):
             row["alpha"] = co.certificate.size
             row["alpha_certified_by"] = "clique-coclique ceiling"
 
-        sr = max_semiregular_order(G, budgets.elements, budgets.extensions,
-                                   budgets.subgroup)
+        sr = max_semiregular_order(G, budgets.elements, budgets.nodes)
         oracle_sr = exhaustive_max_semiregular(G)
         if not sr.optimal or sr.witness.order != oracle_sr:
             return ("fail", {"group": name}, None,
@@ -729,7 +714,7 @@ def analyze(source: str | Path | GroupFile, budgets: Budgets | None = None,
         report["clique_lower_bound_method"] = "sampled"
 
     if within_budget:
-        r = max_semiregular_order(G, budgets.elements, budgets.extensions, budgets.subgroup)
+        r = max_semiregular_order(G, budgets.elements, budgets.nodes)
         report["max_semiregular_order"] = r.witness.order
         report["max_semiregular_method"] = r.witness.method
         report["max_semiregular_closed"] = r.optimal

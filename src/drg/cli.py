@@ -37,21 +37,31 @@ from .perm import Permutation, PermError
 from .semireg import SemiregularWitness, WitnessError, validate_semiregular
 
 
-def _budgets_from(args) -> Budgets:
-    b = Budgets()
-    if getattr(args, "budget_elems", None):
-        b.elements = args.budget_elems
-    if getattr(args, "budget_nodes", None):
-        b.nodes = args.budget_nodes
-    if getattr(args, "budget_degree", None):
-        b.degree = args.budget_degree
-    return b
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # usage errors exit 3; --help and --version exit 0
+        self.print_usage(sys.stderr)
+        self.exit(3, f"{self.prog}: error: {message}\n")
+
+
+def _positive_int(text: str) -> int:
+    if not text.isdigit() or int(text) <= 0:
+        raise argparse.ArgumentTypeError(f"budget must be a positive integer, got {text!r}")
+    return int(text)
 
 
 def _add_budget_flags(p) -> None:
-    p.add_argument("--budget-elems", type=int, help="element enumeration budget")
-    p.add_argument("--budget-nodes", type=int, help="search node budget")
-    p.add_argument("--budget-degree", type=int, help="coset action degree budget")
+    # the defaults are Budgets' own, so every value given reaches the searches
+    b = Budgets()
+    p.add_argument("--budget-elems", type=_positive_int, default=b.elements,
+                   help="element enumeration budget")
+    p.add_argument("--budget-nodes", type=_positive_int, default=b.nodes,
+                   help="search node budget, also semiregular extension attempts")
+    p.add_argument("--budget-degree", type=_positive_int, default=b.degree,
+                   help="coset action degree budget")
+
+
+def _budgets_from(args) -> Budgets:
+    return Budgets(args.budget_elems, args.budget_nodes, args.budget_degree)
 
 
 def cmd_analyze(args) -> int:
@@ -99,6 +109,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_corpus(args) -> int:
+    if not Path(args.directory).is_dir():
+        print(f"error: not a directory: {args.directory}", file=sys.stderr)
+        return 3
     result = corpus_scan(args.directory, _budgets_from(args), use_cache=not args.no_cache)
     if args.json:
         print(json.dumps(result, indent=2, sort_keys=True))
@@ -191,7 +204,7 @@ def cmd_catalog(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="drg",
         description="Derangement graphs of transitive permutation groups: "
                     "cliques, intersection density, semiregular subgroups.",

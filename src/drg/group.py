@@ -21,7 +21,6 @@ from .perm import Permutation, PermError, compose, inverse
 
 DEFAULT_ELEMENT_BUDGET = 200_000
 DEFAULT_DEGREE_BUDGET = 10_000
-DEFAULT_SUBGROUP_BUDGET = 10_000
 
 
 class BudgetError(RuntimeError):
@@ -286,8 +285,8 @@ def close_subgroup(gens, degree: int, cap: int) -> list[Permutation] | None:
     """Breadth-first closure of ``gens``; None if the size would exceed cap.
 
     The elements come sorted by image tuple. Independent of the stabilizer
-    chain; used as the enumeration oracle for small subgroups and by searches
-    that must abort early. A generator of another degree raises PermError.
+    chain, so the certificate checkers and the oracles use it, never the
+    searches. A generator of another degree raises PermError.
     """
     gen_images = [g.images for g in gens]
     for g in gen_images:
@@ -443,7 +442,8 @@ class CosetAction:
 
     ``group`` is the permutation group that G's generators induce on the
     cosets; ``act(p)`` maps any element of G (given in the original degree)
-    to its permutation of the cosets. Coset 0 is H itself.
+    to its permutation of the cosets. Coset 0 is H itself. H's elements are
+    walked off its own stabilizer chain, within ``element_budget``.
 
     A coset H r is keyed by its lexicographically least image tuple. Its
     elements are the tuples (r[h[0]], ..., r[h[n-1]]) for h in H, so the key
@@ -456,22 +456,18 @@ class CosetAction:
     """
 
     def __init__(self, G: PermGroup, H_gens, degree_budget: int = DEFAULT_DEGREE_BUDGET,
-                 subgroup_budget: int = DEFAULT_SUBGROUP_BUDGET, name: str = ""):
+                 element_budget: int = DEFAULT_ELEMENT_BUDGET, name: str = ""):
         for h in H_gens:
             if not G.membership(h):
                 raise PermError("coset action requires H to be a subgroup of G")
-        H_elems = close_subgroup(H_gens, G.degree, subgroup_budget)
-        if H_elems is None:
-            raise BudgetError(f"subgroup closure exceeds budget {subgroup_budget}")
+        H = PermGroup(H_gens, G.degree)
         self.group_order = G.order()
-        self.subgroup_order = len(H_elems)
-        if self.group_order % self.subgroup_order != 0:
-            raise PermError("subgroup order does not divide group order")
+        self.subgroup_order = H.order()  # divides |G| by Lagrange, H being in G
         index = self.group_order // self.subgroup_order
         if index > degree_budget:
             raise BudgetError(f"coset index {index} exceeds degree budget {degree_budget}")
 
-        self._trie = _coset_trie([h.images for h in H_elems])
+        self._trie = _coset_trie(H.element_images(element_budget))
         identity = tuple(range(G.degree))
         self._key_to_index = {self._coset_key(identity): 0}
         self._reps = [identity]
@@ -508,8 +504,8 @@ class CosetAction:
 
 
 def coset_action(G: PermGroup, H_gens, degree_budget: int = DEFAULT_DEGREE_BUDGET,
-                 subgroup_budget: int = DEFAULT_SUBGROUP_BUDGET, name: str = "") -> CosetAction:
-    return CosetAction(G, H_gens, degree_budget, subgroup_budget, name)
+                 element_budget: int = DEFAULT_ELEMENT_BUDGET, name: str = "") -> CosetAction:
+    return CosetAction(G, H_gens, degree_budget, element_budget, name)
 
 
 # -- block action (for lifting) ------------------------------------------------

@@ -30,19 +30,20 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, lcm
 
+from .graph import DEFAULT_NODE_BUDGET
 from .group import (
     DEFAULT_ELEMENT_BUDGET,
-    DEFAULT_SUBGROUP_BUDGET,
     BlockSystem,
     BudgetError,
     PermGroup,
     block_image,
     close_subgroup,
+    reduce_generators,
 )
 from .numth import factorize, is_prime
 from .perm import Permutation, PermError, compose, has_fixed_point, inverse, is_derangement
 
-DEFAULT_EXTENSION_BUDGET = 400_000
+DEFAULT_SUBGROUP_BUDGET = 10_000  # the checker's ceiling: it may be handed any certificate
 
 
 @dataclass
@@ -90,14 +91,14 @@ def is_semiregular_element(p: Permutation) -> bool:
     return common_cycle_length(p.images) is not None
 
 
-def is_semiregular_subgroup(H_gens, degree: int,
-                            subgroup_budget: int = DEFAULT_SUBGROUP_BUDGET) -> bool:
-    """Enumerate <H_gens> and check every non-identity element is a derangement."""
-    elems = close_subgroup(list(H_gens), degree, subgroup_budget)
-    if elems is None:
-        raise BudgetError(f"subgroup exceeds budget {subgroup_budget}")
-    identity = tuple(range(degree))
-    return all(p.images == identity or is_derangement(p) for p in elems)
+def is_semiregular_subgroup(H_gens, degree: int) -> bool:
+    """True iff every non-identity element of <H_gens> is a derangement.
+
+    Its order then divides the degree, so only such a group is walked off
+    its chain, and the identity must be its one element with a fixed point.
+    """
+    H = PermGroup(H_gens, degree)
+    return degree % H.order() == 0 and sum(map(has_fixed_point, H.iter_images(degree))) == 1
 
 
 def validate_semiregular(witness: SemiregularWitness, degree: int,
@@ -235,8 +236,7 @@ class MaxSemiregularResult:
 
 def max_semiregular_order(G: PermGroup,
                           element_budget: int = DEFAULT_ELEMENT_BUDGET,
-                          extension_budget: int = DEFAULT_EXTENSION_BUDGET,
-                          subgroup_budget: int = DEFAULT_SUBGROUP_BUDGET) -> MaxSemiregularResult:
+                          node_budget: int = DEFAULT_NODE_BUDGET) -> MaxSemiregularResult:
     """Largest semiregular subgroup found, with provenance.
 
     Search order: every cyclic subgroup generated by a semiregular element of
@@ -256,14 +256,13 @@ def max_semiregular_order(G: PermGroup,
       since it contains <K, q> and subgroups of semiregular groups are
       semiregular. A subgroup reached from several parents keeps the first
       list; each parent's list holds every q the subgroup can take.
-    - The search stops once the best order equals the degree, since a
-      semiregular order divides it.
+    - A join is abandoned once it outgrows the degree, and the search stops
+      once the best order equals it, since a semiregular order divides it.
 
-    The optimality flag is set when the best order is the degree, or when
-    the census was complete, the search exhausted its frontier within the
-    extension budget, and the subgroup budget reached the degree (below it,
-    a join cut off by the budget cannot be told from one that is not
-    semiregular); a capped run reports the best witness found, never a
+    Each extension attempt is one node against ``node_budget``. The
+    optimality flag is set when the best order is the degree, or when the
+    census was complete and the search exhausted its frontier within the
+    node budget; a capped run reports the best witness found, never a
     negative claim.
     """
     n = G.degree
@@ -320,7 +319,6 @@ def max_semiregular_order(G: PermGroup,
                     seen.add(j)
                     stack.append(j)
 
-    cap = min(n, subgroup_budget)
     cyclic_gens = [images[i] for i in cyclic]
     visited: set[tuple[int, ...]] = set()
     queue: deque[tuple[list[tuple[int, ...]], tuple[int, ...], list[tuple[int, ...]]]] = deque()
@@ -338,9 +336,9 @@ def max_semiregular_order(G: PermGroup,
             if q in members:
                 continue
             nodes += 1
-            if nodes > extension_budget:
+            if nodes > node_budget:
                 return MaxSemiregularResult(best, False, nodes, count)
-            joined = _extend_semiregular(elems, gens, q, cap)
+            joined = _extend_semiregular(elems, gens, q, n)
             if joined is None:
                 continue
             joinable.append(q)
@@ -356,15 +354,14 @@ def max_semiregular_order(G: PermGroup,
                     return MaxSemiregularResult(best, True, nodes, count)
         queue.extend((child_gens, child, joinable) for child_gens, child in children)
 
-    return MaxSemiregularResult(best, subgroup_budget >= n, nodes, count)
+    return MaxSemiregularResult(best, True, nodes, count)
 
 
 # -- block lifting ---------------------------------------------------------------
 
 
 def lift_semiregular(G: PermGroup, system: BlockSystem, Xbar_gens: list[Permutation],
-                     element_budget: int = DEFAULT_ELEMENT_BUDGET,
-                     subgroup_budget: int = DEFAULT_SUBGROUP_BUDGET) -> SemiregularWitness:
+                     element_budget: int = DEFAULT_ELEMENT_BUDGET) -> SemiregularWitness:
     """Pull a semiregular group of block permutations back through the block map.
 
     The preimage contains the kernel of the block action; when the ambient
@@ -374,37 +371,13 @@ def lift_semiregular(G: PermGroup, system: BlockSystem, Xbar_gens: list[Permutat
     """
     if system.degree != G.degree:
         raise PermError("block system degree mismatch")
-    if Xbar_gens and Xbar_gens[0].degree != system.num_blocks:
-        raise PermError("block generators must act on the blocks")
-    if not is_semiregular_subgroup(Xbar_gens or [Permutation.identity(system.num_blocks)],
-                                   system.num_blocks, subgroup_budget):
+    if not is_semiregular_subgroup(Xbar_gens, system.num_blocks):
         raise PermError("the block subgroup is not semiregular on the blocks")
-
-    xbar_elems = close_subgroup(
-        Xbar_gens or [Permutation.identity(system.num_blocks)],
-        system.num_blocks, subgroup_budget)
-    xbar_set = {p.images for p in xbar_elems}
-
-    preimage: list[Permutation] = []
-    for g in G.elements(element_budget):
-        if block_image(g, system).images in xbar_set:
-            preimage.append(g)
-            if len(preimage) > subgroup_budget:
-                raise BudgetError("preimage exceeds the subgroup budget")
-
-    gens: list[Permutation] = []
-    span = {tuple(range(G.degree))}
-    for g in sorted(preimage):
-        if g.images in span:
-            continue
-        gens.append(g)
-        span = {p.images for p in close_subgroup(gens, G.degree, subgroup_budget)}
-        if len(span) == len(preimage):
-            break
-
-    witness = SemiregularWitness(G.name, gens or [Permutation.identity(G.degree)],
-                                 len(preimage), "lifted")
-    validate_semiregular(witness, G.degree, subgroup_budget)
+    Xbar = PermGroup(Xbar_gens, system.num_blocks)
+    preimage = [g for g in G.elements(element_budget) if block_image(g, system) in Xbar]
+    gens = reduce_generators(sorted(preimage), G.degree, len(preimage))
+    witness = SemiregularWitness(G.name, gens, len(preimage), "lifted")
+    validate_semiregular(witness, G.degree)
     return witness
 
 

@@ -311,6 +311,46 @@ def test_cli_corpus(tmp_path, capsys):
     assert "C5:5" in out
 
 
+def test_cli_corpus_missing_directory(tmp_path, capsys):
+    # a missing directory is a usage error, not an empty corpus
+    assert cli_main(["corpus", str(tmp_path / "no-such-dir")]) == 3
+    captured = capsys.readouterr()
+    assert "error: not a directory" in captured.err
+    assert captured.out == ""
+
+
+def _exit_code(argv) -> int:
+    with pytest.raises(SystemExit) as exc:
+        cli_main(argv)
+    return exc.value.code
+
+
+def test_cli_usage_errors_exit_3(capsys):
+    assert _exit_code(["verify"]) == 3  # no check id
+    assert _exit_code(["no-such-command"]) == 3
+    assert _exit_code(["density", "A5:10", "--budget-nodes", "many"]) == 3
+    assert _exit_code(["--help"]) == 0
+    assert _exit_code(["--version"]) == 0
+
+
+def test_cli_rejects_a_non_positive_budget(capsys):
+    # a zero budget used to be read as "no flag" and ran at the default
+    for flag in ("--budget-elems", "--budget-nodes", "--budget-degree"):
+        for value in ("0", "-5"):
+            assert _exit_code(["density", "A5:10", flag, value]) == 3
+            assert "budget must be a positive integer" in capsys.readouterr().err
+
+
+def test_cli_budget_flags_reach_the_searches(capsys):
+    # one node closes neither search of A5:10; the default closes both
+    cli_main(["density", "A5:10", "--budget-nodes", "1"])
+    out = json.loads(capsys.readouterr().out)
+    assert not out["clique_optimal"] and not out["coclique_optimal"]
+    cli_main(["density", "A5:10"])
+    out = json.loads(capsys.readouterr().out)
+    assert out["clique_optimal"] and out["coclique_optimal"]
+
+
 def test_cli_verify_cert_roundtrip(tmp_path, capsys):
     from drg.graph import max_clique
 

@@ -89,6 +89,42 @@ def test_semiregular_subgroup_examples():
     assert not is_semiregular_subgroup([parse_cycles("(1,2)", 4)], 4)
 
 
+def test_is_semiregular_subgroup_rejects_an_order_above_the_degree():
+    # S8 on 8 points: its order exceeds the degree, so it is not semiregular
+    assert not is_semiregular_subgroup(list(sym(8).generators), 8)
+
+
+def test_is_semiregular_subgroup_agrees_with_validate_semiregular():
+    # every cyclic subgroup, and seeded samples of pairs of semiregular
+    # elements and of any elements, in the catalog groups of order <= 168
+    def by_definition(gens, n):
+        order = len(close_subgroup(gens, n, 10 ** 6))
+        try:
+            validate_semiregular(SemiregularWitness("", gens, order, "catalog"), n)
+        except WitnessError:
+            return False
+        return True
+
+    rng = random.Random(12)
+    semiregular = joins = 0
+    for rec in catalog_index():
+        if rec["order"] > 168:
+            continue
+        G = catalog_load(rec["name"]).group
+        n = G.degree
+        elements = [Permutation(t) for t in G.element_images()]
+        fpf = [p for p in elements if is_semiregular_element(p) and not p.is_identity()]
+        cases = [[p] for p in elements]
+        cases += [rng.sample(fpf, 2) for _ in range(60)] if len(fpf) > 1 else []
+        cases += [rng.sample(elements, 2) for _ in range(30)]
+        for gens in cases:
+            got = is_semiregular_subgroup(gens, n)
+            assert got == by_definition(gens, n), (rec["name"], gens)
+            semiregular += got
+            joins += got and len(gens) == 2
+    assert semiregular > 100 and joins > 20
+
+
 def test_semiregular_primes_c5():
     assert semiregular_primes(cyclic(5)) == {5}
     assert semiregular_primes(sym(3)) == {3}
@@ -127,12 +163,12 @@ def test_max_semiregular_alt4_finds_klein_four():
     validate_semiregular(r.witness, 4)
 
 
-def test_max_semiregular_small_subgroup_budget_is_not_closed():
-    # a budget of 2 cuts off the closure of the Klein four-group, so the
-    # search cannot rule out order 4 and must not claim order 2 is maximal
-    r = max_semiregular_order(alt(4), subgroup_budget=2)
+def test_max_semiregular_zero_node_budget_is_not_closed():
+    # no extension attempt is allowed, so the search cannot reach the Klein
+    # four-group and must not claim that order 2 is maximal
+    r = max_semiregular_order(alt(4), node_budget=0)
     assert not r.optimal
-    assert r.witness.order <= 4
+    assert r.witness.order == 2
 
 
 def test_max_semiregular_a5_deg6():
@@ -230,10 +266,10 @@ def test_max_semiregular_closes_on_the_catalog_at_analyze_budgets():
                 "PSp4(3):36": 9, "PSp4(3):40": 20}
     for name, order in expected.items():
         G = catalog_load(name).group
-        r = max_semiregular_order(G, b.elements, b.extensions, b.subgroup)
+        r = max_semiregular_order(G, b.elements, b.nodes)
         assert r.optimal, name
         assert r.witness.order == order, (name, r.witness.order)
-        validate_semiregular(r.witness, G.degree, b.subgroup)
+        validate_semiregular(r.witness, G.degree)
 
 
 def test_max_semiregular_searches_from_every_conjugacy_class_root():
@@ -277,6 +313,10 @@ def test_lift_semiregular_doubled_action():
     w = lift_semiregular(G, system, [five_cycle])
     assert w.order == 10  # C5 x <swap>
     assert w.method == "lifted"
+    # the greedy choice over the sorted preimage: the least element outside
+    # the span so far, until the span is the whole preimage
+    assert [list(g.images) for g in w.generators] == [
+        [1, 2, 3, 4, 0, 6, 7, 8, 9, 5], [5, 6, 7, 8, 9, 0, 1, 2, 3, 4]]
     validate_semiregular(w, 10)
 
 
