@@ -84,7 +84,9 @@ def cmd_density(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     print(json.dumps(rep.to_json_dict(), indent=2, sort_keys=True))
-    return 0 if rep.status == "ok" else 2
+    # an open search leaves rho an interval, an unknown verdict
+    closed = rep.status == "ok" and rep.clique_optimal and rep.coclique_optimal
+    return 0 if closed else 2
 
 
 def cmd_verify(args) -> int:

@@ -4,8 +4,11 @@ The chain (base and strong generating set) is built once, on demand, by a
 deterministic Schreier-Sims: base points are chosen greedily as the smallest
 point moved by a remaining strong generator, and all bookkeeping iterates
 points in increasing order, so two builds from the same generator list agree
-element for element. Every enumeration of the group reads one walk of image
-tuples off the chain, ``iter_images``.
+element for element. Every enumeration of the group reads one walk off the
+chain, ``base_cosets``: the level-0 transversal and a walk of the base
+point's stabilizer, whose products u∘p are the elements. ``iter_images``
+streams those products; a caller that needs only fixed points can test a
+whole coset {u∘p} at once, since u∘p fixes i exactly when u[p[i]] == i.
 
 A coset action keys each coset H r by its lexicographically least image
 tuple, read off a compressed trie of H's sorted image tuples with one choice
@@ -177,22 +180,38 @@ class PermGroup:
     def __contains__(self, p: Permutation) -> bool:
         return self.membership(p)
 
-    def iter_images(self, budget: int = DEFAULT_ELEMENT_BUDGET):
-        """Yield each element's image tuple exactly once, streamed off the chain.
+    def base_cosets(self, budget: int = DEFAULT_ELEMENT_BUDGET):
+        """(level-0 transversal images sorted by point, walk of the base stabilizer).
 
-        An element factors as (deeper levels) then u_i, so the walk runs from
-        the deepest level and varies the base level fastest. The budget check,
-        like the walk, runs on the first request for an element.
+        The walk streams each element p of G_{b0} once, off the deeper levels
+        of the chain. Every element of G is u∘p, the image tuple
+        ``tuple(map(u.__getitem__, p))``, for exactly one such pair, so a
+        caller can treat the coset {u∘p : u in the transversal} at once: u∘p
+        fixes i exactly when u[p[i]] == i. Raises BudgetError at once when
+        |G| exceeds the budget.
         """
         if self.order() > budget:
             raise BudgetError(
                 f"order {self.order()} exceeds enumeration budget {budget}"
             )
-        walk = [tuple(range(self.degree))]
-        for level in reversed(self._chain):
-            walk = _times_each(walk, [level.transversal[x].images
-                                      for x in sorted(level.transversal)])
-        yield from walk
+        identity = tuple(range(self.degree))
+        transversals = [[level.transversal[x].images for x in sorted(level.transversal)]
+                        for level in self._chain] or [[identity]]
+        walk = [identity]
+        for transversal in reversed(transversals[1:]):
+            walk = _times_each(walk, transversal)
+        return transversals[0], walk
+
+    def iter_images(self, budget: int = DEFAULT_ELEMENT_BUDGET):
+        """Yield each element's image tuple exactly once, streamed off the chain.
+
+        An element factors as (deeper levels) then u_i, so the walk runs from
+        the deepest level and varies the base level fastest: each coset of
+        ``base_cosets`` in turn. The budget check, like the walk, runs on the
+        first request for an element.
+        """
+        transversal, walk = self.base_cosets(budget)
+        yield from _times_each(walk, transversal)
 
     def elements(self, budget: int = DEFAULT_ELEMENT_BUDGET):
         """Each group element exactly once, lazily, as a Permutation."""

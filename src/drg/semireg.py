@@ -4,7 +4,10 @@ A subgroup is semiregular when its only element with a fixed point is the
 identity; its order then divides the degree, which is what keeps the
 subgroup searches here small. Elusiveness and the subgroup search read one
 element census of the group: its derangement count and its semiregular
-elements.
+elements. The census tests fixed points a coset at a time: an element u∘p,
+u in the level-0 transversal and p in the base point's stabilizer, fixes i
+exactly when u[p[i]] == i, so one OR of n bitsets gives the derangements of
+the coset {u∘p : u}, and only those are built.
 
 The subgroup search is a breadth-first search that extends a semiregular
 subgroup by one cyclic semiregular subgroup at a time. Every subgroup of a
@@ -17,18 +20,23 @@ this way, and each pruning below keeps a closed search exhaustive:
   subgroup contains a root;
 - inherited failures: a subgroup containing K takes no q whose join with K
   is not semiregular, since its own join with q would contain that one;
-- a stop at the degree, the largest order a semiregular subgroup can have.
+- a stop at the prime-part bound: the product of p^{v_p(n)} over the primes
+  p | n that divide the order of some semiregular element. A semiregular
+  subgroup of order divisible by p holds a semiregular element of order p,
+  and its order divides n.
 
-A join is built by coset extension from K and every new element is tested
-for a fixed point.
+A join is built by coset extension from K, and each new coset rK is tested
+whole: some r∘k has a fixed point exactly when r sends some point v into
+v's own K-orbit. So a coset's elements are built only once it has passed.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import gcd, lcm
+from operator import eq, getitem, or_
 
 from .graph import DEFAULT_NODE_BUDGET
 from .group import (
@@ -153,19 +161,35 @@ class ElusivenessReport:
 def element_census(G: PermGroup, element_budget: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """(derangement count, sorted image tuples of the non-identity semiregular elements).
 
-    One pass over G's image walk, with no Permutation built; raises
-    BudgetError when |G| exceeds the budget. Only derangements get the
-    cycle-length test, since every non-identity semiregular element is one.
-    Only the latest group's census is kept: a larger cache would hold the
-    semiregular elements of every group its callers keep alive.
+    One pass over G's base cosets, with no Permutation built; raises
+    BudgetError when |G| exceeds the budget. Each element is u∘p with u in
+    the level-0 transversal and p in the base point's stabilizer, and u∘p
+    fixes i exactly when u[p[i]] == i. So with ``masks[i][v]`` the bitset of
+    the transversal elements u with u[v] == i, the derangements of the coset
+    {u∘p} are the bits of ``full & ~OR_i masks[i][p[i]]``: a coset costs n
+    big-int ORs, and image tuples are built, and get the cycle-length test,
+    only for its derangements, since every non-identity semiregular element
+    is one. Only the latest group's census is kept: a larger cache would hold
+    the semiregular elements of every group its callers keep alive.
     """
+    transversal, walk = G.base_cosets(element_budget)
+    n = G.degree
+    masks = [[0] * n for _ in range(n)]
+    for j, u in enumerate(transversal):
+        for v, i in enumerate(u):
+            masks[i][v] |= 1 << j
+    full = (1 << len(transversal)) - 1
     count = 0
     semiregular = []
-    for x in G.iter_images(element_budget):
-        if not has_fixed_point(x):
-            count += 1
+    for p in walk:
+        deranged = full & ~reduce(or_, map(getitem, masks, p))
+        count += deranged.bit_count()
+        while deranged:
+            low = deranged & -deranged
+            x = tuple(map(transversal[low.bit_length() - 1].__getitem__, p))
             if common_cycle_length(x) is not None:
                 semiregular.append(x)
+            deranged ^= low
     return count, tuple(sorted(semiregular))
 
 
@@ -193,6 +217,20 @@ def is_elusive(G: PermGroup,
 # -- maximum semiregular order --------------------------------------------------
 
 
+def _orbit_labels(elems: list[tuple[int, ...]]) -> list[int]:
+    """Each point's label: the least point of its orbit under the group ``elems``."""
+    return list(map(min, zip(*elems)))
+
+
+def _coset_has_fixed_point(r: tuple[int, ...], label: list[int]) -> bool:
+    """Whether some r∘k, k in the group K that ``label`` labels, fixes a point.
+
+    r∘k has images r[k[i]] and fixes i exactly when k sends i to v with
+    r[v] == i, which some k does exactly when r[v] lies in v's K-orbit.
+    """
+    return any(map(eq, map(label.__getitem__, r), label))
+
+
 def _extend_semiregular(elems: list[tuple[int, ...]], gen_images: list[tuple[int, ...]],
                         q: tuple[int, ...], cap: int) -> list[tuple[int, ...]] | None:
     """<K, q> by coset extension from K, or None unless it stays semiregular.
@@ -201,11 +239,16 @@ def _extend_semiregular(elems: list[tuple[int, ...]], gen_images: list[tuple[int
     generate K and q lies outside it. The join is grown Dimino-style as a
     union of cosets rK: a product s r (s a generator of <K, q>, r a coset
     representative) outside the union so far brings in its whole coset, and
-    the union is a group once every such product lies in it. Every element
-    of a new coset is non-identity and gets the fixed-point test; the routine
-    returns None at the first fixed point, or when the join would exceed
-    ``cap`` elements. The returned list starts with K's elements.
+    the union is a group once every such product lies in it.
+
+    A new coset is tested whole, before it is built: some element of rK
+    has a fixed point exactly when r sends some point v into v's own
+    K-orbit (``_coset_has_fixed_point``), and none is the identity, r being
+    outside K. The routine returns None at the first such coset, or when the
+    join would exceed ``cap`` elements. The returned list starts with K's
+    elements.
     """
+    label = _orbit_labels(elems)
     members = set(elems)
     out = list(elems)
     gens = [*gen_images, q]
@@ -214,15 +257,12 @@ def _extend_semiregular(elems: list[tuple[int, ...]], gen_images: list[tuple[int
         r = todo.pop()
         if r in members:
             continue
-        if len(out) + len(elems) > cap:
+        if len(out) + len(elems) > cap or _coset_has_fixed_point(r, label):
             return None
-        for k in elems:
-            x = tuple(r[j] for j in k)
-            if has_fixed_point(x):
-                return None
-            members.add(x)
-            out.append(x)
-        todo.extend(tuple(s[j] for j in r) for s in gens)
+        coset = [tuple(map(r.__getitem__, k)) for k in elems]
+        members.update(coset)
+        out.extend(coset)
+        todo.extend(tuple(map(s.__getitem__, r)) for s in gens)
     return out
 
 
@@ -256,11 +296,17 @@ def max_semiregular_order(G: PermGroup,
       since it contains <K, q> and subgroups of semiregular groups are
       semiregular. A subgroup reached from several parents keeps the first
       list; each parent's list holds every q the subgroup can take.
-    - A join is abandoned once it outgrows the degree, and the search stops
-      once the best order equals it, since a semiregular order divides it.
+    - A semiregular order divides the degree n, and its p-part is 1 for
+      every prime p that divides no semiregular element's order: a
+      semiregular subgroup of order divisible by p holds an element of order
+      p, which is semiregular. A join is abandoned once it outgrows the
+      product of the other p-parts of n, and the search stops once the best
+      order meets it.
+    - A candidate q whose coset qK holds a fixed point is rejected before
+      its join is built; the test reads the K-orbit labels of the node.
 
     Each extension attempt is one node against ``node_budget``. The
-    optimality flag is set when the best order is the degree, or when the
+    optimality flag is set when the best order meets that bound, or when the
     census was complete and the search exhausted its frontier within the
     node budget; a capped run reports the best witness found, never a
     negative claim.
@@ -282,6 +328,7 @@ def max_semiregular_order(G: PermGroup,
     least: list[int | None] = [None] * count
     cyclic: dict[int, tuple[int, ...]] = {}
     coprime = semiregular_primes(G) if G.is_transitive() else set()
+    orders = set()
     for i, p in enumerate(images):
         if least[i] is not None:
             continue
@@ -295,10 +342,17 @@ def max_semiregular_order(G: PermGroup,
             if gcd(k, order) == 1:
                 least[j] = i
         cyclic[i] = tuple(sorted(powers))
+        orders.add(order)
         if order > best.order:
             method = "order-coprime" if order in coprime else "cyclic-scan"
             best = SemiregularWitness(G.name, [Permutation(p)], order, method)
-    if best.order == n:
+    # the prime-part bound: a semiregular subgroup of order divisible by p
+    # holds a semiregular element of order p
+    bound = 1
+    for p, e in factorize(n).items():
+        if any(order % p == 0 for order in orders):
+            bound *= p ** e
+    if best.order == bound:
         return MaxSemiregularResult(best, True, nodes, count)
 
     # one root per G-conjugacy class of cyclic subgroups, the least one
@@ -314,7 +368,7 @@ def max_semiregular_order(G: PermGroup,
         while stack:
             x = images[stack.pop()]
             for g, g_inv in conjugators:
-                j = least[index[tuple(g_inv[x[g[t]]] for t in range(n))]]
+                j = least[index[tuple(map(g_inv.__getitem__, map(x.__getitem__, g)))]]
                 if j not in seen:
                     seen.add(j)
                     stack.append(j)
@@ -330,6 +384,7 @@ def max_semiregular_order(G: PermGroup,
         gens, key, candidates = queue.popleft()
         elems = [identity, *(images[j] for j in key)]
         members = set(elems)
+        label = _orbit_labels(elems)
         joinable: list[tuple[int, ...]] = []
         children = []
         for q in candidates:
@@ -338,7 +393,9 @@ def max_semiregular_order(G: PermGroup,
             nodes += 1
             if nodes > node_budget:
                 return MaxSemiregularResult(best, False, nodes, count)
-            joined = _extend_semiregular(elems, gens, q, n)
+            if _coset_has_fixed_point(q, label):  # so <K, q> is not semiregular
+                continue
+            joined = _extend_semiregular(elems, gens, q, bound)
             if joined is None:
                 continue
             joinable.append(q)
@@ -350,7 +407,7 @@ def max_semiregular_order(G: PermGroup,
             if len(joined) > best.order:
                 best = SemiregularWitness(G.name, [Permutation(g) for g in gens + [q]],
                                           len(joined), "backtrack")
-                if best.order == n:
+                if best.order == bound:
                     return MaxSemiregularResult(best, True, nodes, count)
         queue.extend((child_gens, child, joinable) for child_gens, child in children)
 

@@ -84,20 +84,27 @@ def test_analyze_deterministic():
 
 
 def test_analyze_enumerates_each_group_once(monkeypatch):
+    # every enumeration, the census's and iter_images's, walks base_cosets;
+    # each coset the walk yields stands for one element per transversal entry
     G = catalog_load("M12:12").group
-    walk = PermGroup.iter_images
+    base_cosets = PermGroup.base_cosets
     yielded = 0
 
     def counted(self, *args, **kwargs):
-        nonlocal yielded
-        for x in walk(self, *args, **kwargs):
-            yielded += 1
-            yield x
+        transversal, walk = base_cosets(self, *args, **kwargs)
 
-    monkeypatch.setattr(PermGroup, "iter_images", counted)
+        def counted_walk():
+            nonlocal yielded
+            for p in walk:
+                yielded += len(transversal)
+                yield p
+
+        return transversal, counted_walk()
+
+    monkeypatch.setattr(PermGroup, "base_cosets", counted)
     analyze("M12:12")
     # one census pass, plus the short derangement prefixes of the greedy cliques
-    assert yielded < 1.1 * G.order()
+    assert G.order() <= yielded < 1.1 * G.order()
 
 
 def test_analyze_a7_semiregular_search_closes():
@@ -295,6 +302,12 @@ def test_cli_density(tmp_path, capsys):
     assert rc == 0
     out = json.loads(capsys.readouterr().out)
     assert out["rho_lower"] == "1" and out["rho_upper"] == "1"
+    assert out["clique_optimal"] and out["coclique_optimal"]
+    # neither search closes in one node: rho is an interval, an unknown verdict
+    assert cli_main(["density", "A5:10", "--budget-nodes", "1"]) == 2
+    out = json.loads(capsys.readouterr().out)
+    assert out["status"] == "ok"
+    assert not out["clique_optimal"] and not out["coclique_optimal"]
     # an intransitive group has no density: exit 3 with a message, never a traceback
     path = tmp_path / "triv.json"
     path.write_text(json.dumps({"name": "triv", "degree": 3, "generators": [[0, 1, 2]]}))

@@ -6,12 +6,23 @@ import pytest
 from drg.catalog import catalog_index, catalog_load
 from drg.checks import Budgets
 from drg.group import BlockSystem, PermGroup, close_subgroup
-from drg.perm import Permutation, PermError, compose, is_derangement, parse_cycles
+from drg.perm import (
+    Permutation,
+    PermError,
+    compose,
+    has_fixed_point,
+    is_derangement,
+    parse_cycles,
+)
 from drg.semireg import (
     ElusivenessReport,
+    _coset_has_fixed_point,
     _extend_semiregular,
+    _orbit_labels,
     SemiregularWitness,
     WitnessError,
+    common_cycle_length,
+    element_census,
     is_elusive,
     is_semiregular_element,
     is_semiregular_subgroup,
@@ -175,6 +186,9 @@ def test_max_semiregular_a5_deg6():
     r = max_semiregular_order(a5_on_6())
     assert r.optimal
     assert r.witness.order == 3
+    # no semiregular element has even order, so 3 is the prime-part bound
+    # and the search closes with no extension attempt
+    assert r.nodes == 0
     validate_semiregular(r.witness, 6)
 
 
@@ -221,9 +235,26 @@ def _join_by_definition(K_gens, q, n):
     return {p.images for p in closed}
 
 
+def test_element_census_matches_definition_on_catalog():
+    # the coset-at-a-time census against one fixed-point test per element
+    checked = 0
+    for rec in catalog_index():
+        if rec["order"] > 25_920:
+            continue
+        G = catalog_load(rec["name"]).group
+        deranged = [x for x in G.iter_images() if not has_fixed_point(x)]
+        semiregular = sorted(x for x in deranged if common_cycle_length(x) is not None)
+        count, census = element_census.__wrapped__(G, G.order())
+        assert count == len(deranged), rec["name"]
+        assert census == tuple(semiregular), rec["name"]
+        checked += 1
+    assert checked >= 30
+
+
 def test_extend_semiregular_matches_close_subgroup():
     # K runs over the cyclic semiregular subgroups and their semiregular
-    # joins, q over every element of G outside K
+    # joins, q over every element of G outside K; the coset test of qK is
+    # checked against a scan of its elements
     joins = semiregular = 0
     for rec in catalog_index():
         if rec["order"] > 360:
@@ -241,9 +272,12 @@ def test_extend_semiregular_matches_close_subgroup():
             found = []
             for key, K_gens in level:
                 K = [tuple(range(n))] + sorted(key - {tuple(range(n))})
+                label = _orbit_labels(K)
                 for q in elements:
                     if q.images in key:
                         continue
+                    scan = any(q.images[k[i]] == i for k in K for i in range(n))
+                    assert _coset_has_fixed_point(q.images, label) == scan, (rec["name"], q)
                     got = _extend_semiregular(K, [g.images for g in K_gens], q.images, n)
                     want = _join_by_definition(K_gens, q, n)
                     assert (got is None) == (want is None), (rec["name"], K_gens, q)
