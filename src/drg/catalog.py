@@ -30,6 +30,31 @@ def data_dir() -> Path:
     return Path(__file__).resolve().parent / "data"
 
 
+def _is_generator(raw) -> bool:
+    return isinstance(raw, str) or (isinstance(raw, list) and all(type(x) is int for x in raw))
+
+
+def _shape_problem(record) -> str | None:
+    """What keeps a parsed record from having a group file's shape, or None."""
+    if not isinstance(record, dict):
+        return "not a JSON object"
+    for key in ("name", "degree", "generators"):
+        if key not in record:
+            return f"missing field {key!r}"
+    degree = record["degree"]
+    if type(degree) is not int or degree < 1:
+        return f"degree must be a positive integer, got {degree!r}"
+    subgroups = record.get("subgroups", [])
+    if not isinstance(subgroups, list) or not all(
+            isinstance(sub, dict) and isinstance(sub.get("name"), str) and "generators" in sub
+            for sub in subgroups):
+        return "subgroups must be a list of objects with a name and generators"
+    for gens in [record["generators"], *(sub["generators"] for sub in subgroups)]:
+        if not isinstance(gens, list) or not all(map(_is_generator, gens)):
+            return "generators must be a list of cycle strings or integer image lists"
+    return None
+
+
 def _parse_generator(raw, degree: int, one_based: bool) -> Permutation:
     if isinstance(raw, str):
         return parse_cycles(raw, degree, one_based=one_based)
@@ -50,15 +75,20 @@ class GroupFile:
 
 
 def load_group_file(path: Path | str) -> GroupFile:
-    """Parse and validate one group spec file (no metadata cross-check)."""
+    """Parse and validate one group spec file (no metadata cross-check).
+
+    A file that cannot be read, is not UTF-8 JSON or lacks a group file's
+    shape raises IntegrityError, as does a generator that is no permutation
+    of the degree's points.
+    """
     path = Path(path)
     try:
-        record = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise IntegrityError(f"{path}: invalid JSON ({exc})") from exc
-    for key in ("name", "degree", "generators"):
-        if key not in record:
-            raise IntegrityError(f"{path}: missing field {key!r}")
+        record = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:  # ValueError: bad UTF-8 or bad JSON
+        raise IntegrityError(f"{path}: unreadable or invalid JSON ({exc})") from exc
+    problem = _shape_problem(record)
+    if problem:
+        raise IntegrityError(f"{path}: {problem}")
     degree = record["degree"]
     one_based = bool(record.get("one_based", False))
     try:
@@ -75,7 +105,7 @@ def load_group_file(path: Path | str) -> GroupFile:
         raise IntegrityError(f"{path}: {exc}") from exc
     for sub_name, sub_gens in subgroups.items():
         for g in sub_gens:
-            if not group.membership(g):
+            if g.degree != degree or not group.membership(g):
                 raise IntegrityError(
                     f"{path}: subgroup {sub_name!r} generator outside the group"
                 )

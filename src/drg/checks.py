@@ -12,7 +12,10 @@ import hashlib
 import json
 import os
 import time
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass
+from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 
 from . import __version__
@@ -30,7 +33,7 @@ from .constructions import (
     wreath_expected_order,
     wreath_product_action,
 )
-from .fields import GF, Matrix, mat_order, mat_rank, preserves_quadratic, preserves_symplectic
+from .fields import GF, Matrix, preserves_quadratic, preserves_symplectic
 from .graph import (
     DEFAULT_NODE_BUDGET,
     CliqueCertificate,
@@ -151,7 +154,14 @@ def run_check(check_id: str, budgets: Budgets | None = None) -> CheckReport:
 # -- helpers ------------------------------------------------------------------
 
 
-def _greedy_extend(prefix: list[Permutation], k: int, degree: int) -> CliqueCertificate | None:
+# how many streamed derangements, or random samples, the greedy layers try
+_GREEDY_PREFIX = 400
+
+
+def _greedy_extend(prefix: Iterable[Permutation], k: int,
+                   degree: int) -> CliqueCertificate | None:
+    """A validated k-clique through the identity, built greedily from the
+    derangements in ``prefix`` taken in order, or None."""
     chosen: list[Permutation] = []
     for p in prefix:
         if all(are_adjacent(p, q) for q in chosen):
@@ -163,37 +173,21 @@ def _greedy_extend(prefix: list[Permutation], k: int, degree: int) -> CliqueCert
     return None
 
 
-def _greedy_k_clique(G: PermGroup, k: int, budgets: Budgets,
-                     stream_cap: int = 400) -> CliqueCertificate | None:
-    """Cheap streaming attempt before the exact search: scan a prefix of the
-    derangements and extend greedily; sound (validated) but incomplete."""
-    prefix: list[Permutation] = []
-    for p in G.elements(budgets.elements):
-        if is_derangement(p):
-            prefix.append(p)
-            if len(prefix) >= stream_cap:
-                break
-    return _greedy_extend(prefix, k, G.degree)
-
-
-def sampled_k_clique(G: PermGroup, k: int, samples: int = 400) -> CliqueCertificate | None:
-    """Randomized (fixed-seed) clique lower bound for groups too big to enumerate."""
+def sampled_k_clique(G: PermGroup, k: int) -> CliqueCertificate | None:
+    """Randomized (fixed-seed) clique lower bound for groups too big to enumerate:
+    the greedy over the distinct derangements among a fixed number of samples."""
     import random
 
     rng = random.Random(0xD06 + G.degree)
-    seen = set()
-    prefix = []
-    for _ in range(samples):
-        p = G.random_element(rng)
-        if is_derangement(p) and p.images not in seen:
-            seen.add(p.images)
-            prefix.append(p)
-    return _greedy_extend(sorted(prefix), k, G.degree)
+    samples = (G.random_element(rng) for _ in range(_GREEDY_PREFIX))
+    return _greedy_extend(sorted(set(filter(is_derangement, samples))), k, G.degree)
 
 
 def quick_k_clique(G: PermGroup, k: int, budgets: Budgets):
-    """Streaming greedy first, exact identity-rooted search as fallback."""
-    cert = _greedy_k_clique(G, k, budgets)
+    """Greedy over a prefix of the streamed derangements first, which is sound
+    (validated) but incomplete, then the exact identity-rooted search."""
+    prefix = islice(filter(is_derangement, G.elements(budgets.elements)), _GREEDY_PREFIX)
+    cert = _greedy_extend(prefix, k, G.degree)
     if cert is not None:
         return "found", cert
     result = find_k_clique(G, k, budgets.nodes, budgets.elements)
@@ -432,7 +426,7 @@ def _check_unipotent(budgets: Budgets):
         for a in fam:
             if (a * a).rows not in members:
                 return "fail", {"q": q}, None, "not closed under squaring"
-            if a != ident and (mat_rank(a.sub(ident)) != 1 or mat_order(a) != p0):
+            if a != ident and (a.sub(ident).rank() != 1 or a.order() != p0):
                 return "fail", {"q": q}, None, "rank or exponent invariant failed"
         for a in fam[: q]:
             for b in fam[: q]:
@@ -454,7 +448,7 @@ def _check_ppd_witness(budgets: Budgets):
     results = {}
     for m, f, want_p in ((2, 2, 5), (3, 1, 7)):
         g, A, J, p = ppd_block_witness(m, f)
-        if p != want_p or mat_order(g) != p or not preserves_symplectic(g, J):
+        if p != want_p or g.order() != p or not preserves_symplectic(g, J):
             return "fail", {"m": m, "f": f}, None, "order or form preservation failed"
         # in degree 2 and 3 a polynomial without a root in the field is irreducible
         if matrix_has_eigenvalue_in_base(A):
@@ -477,7 +471,7 @@ def _check_singer(budgets: Budgets):
     results = {}
     for (m, q), want in (((2, 5), 3), ((4, 3), 5), ((2, 4), 5)):
         X, Q, expect = singer_minus(m, q)
-        if expect != want or mat_order(X) != want:
+        if expect != want or X.order() != want:
             return "fail", {"m": m, "q": q}, None, f"order != {want}"
         if not preserves_quadratic(X, Q):
             return "fail", {"m": m, "q": q}, None, "form not preserved"
@@ -579,8 +573,6 @@ def _check_m11wr2_clique(budgets: Budgets):
           "every transitive catalog group of degree >= 3 has intersection density "
           "at most degree/3, witnessed by a validated triangle")
 def _check_corpus_density(budgets: Budgets):
-    from fractions import Fraction
-
     rows = {}
     for rec in catalog_index():
         name = rec["name"]
@@ -664,7 +656,14 @@ def _check_oracle_equivalence(budgets: Budgets):
 
 def analyze(source: str | Path | GroupFile, budgets: Budgets | None = None,
             deep: bool = False) -> dict:
-    """Full deterministic report for one group (file path or catalog name)."""
+    """Full deterministic report for one group (file path or catalog name).
+
+    ``clique_lower_bound`` is the largest k <= 4 with a validated k-clique in
+    the derangement graph. A k-clique holds every smaller clique, so the
+    ladder tries k = 4, 3, 2 and stops at the first k found: by the greedy
+    prefix or the exact search when G can be enumerated, by sampling (and
+    None when no sample gives a 2-clique) when it cannot.
+    """
     budgets = budgets or Budgets()
     gf = source if isinstance(source, GroupFile) else resolve_group(source)
     G = gf.group
@@ -684,58 +683,41 @@ def analyze(source: str | Path | GroupFile, budgets: Budgets | None = None,
     report["block_systems"] = len(systems)
     report["stabilizer_order"] = G.stabilizer_order()
 
-    within_budget = G.order() <= budgets.elements
-    if within_budget:
+    if G.order() <= budgets.elements:
         report["derangement_count"], _ = element_census(G, budgets.elements)
         rep = is_elusive(G, budgets.elements)
         report["elusive"] = rep.elusive
         if rep.witness is not None:
             report["elusive_witness_order"] = rep.witness_order
-    else:
-        report["derangement_count"] = None
-        report["elusive"] = None
-
-    ladder = 1
-    if within_budget:
-        for k in (2, 3, 4):
-            status, cert = quick_k_clique(G, k, budgets)
-            if status == "found":
-                ladder = k
-            else:
-                break
-        report["clique_lower_bound"] = ladder
-    else:
-        for k in (2, 3, 4):
-            if sampled_k_clique(G, k) is not None:
-                ladder = k
-            else:
-                break
-        report["clique_lower_bound"] = ladder if ladder > 1 else None
-        report["clique_lower_bound_method"] = "sampled"
-
-    if within_budget:
+        report["clique_lower_bound"] = next(
+            (k for k in (4, 3, 2) if quick_k_clique(G, k, budgets)[0] == "found"), 1)
         r = max_semiregular_order(G, budgets.elements, budgets.nodes)
         report["max_semiregular_order"] = r.witness.order
         report["max_semiregular_method"] = r.witness.method
         report["max_semiregular_closed"] = r.optimal
+        if deep or G.order() <= 5000:
+            report["density"] = density_bounds(G, budgets.nodes, budgets.elements).to_json_dict()
     else:
+        report["derangement_count"] = None
+        report["elusive"] = None
+        report["clique_lower_bound"] = next(
+            (k for k in (4, 3, 2) if sampled_k_clique(G, k) is not None), None)
+        report["clique_lower_bound_method"] = "sampled"
         report["max_semiregular_order"] = None
         report["max_semiregular_closed"] = False
 
-    # density: exact searches where the group is small, else certificate-backed
-    # partial bounds (a found clique caps rho from above, the stabilizer
-    # coclique bounds it from below); never fabricated
-    from fractions import Fraction
-
-    if (deep or G.order() <= 5000) and within_budget:
-        rep = density_bounds(G, budgets.nodes, budgets.elements)
-        report["density"] = rep.to_json_dict()
-    elif report["clique_lower_bound"]:
+    if "density" in report:
+        return report
+    # without the exact searches, certificate-backed partial bounds: the
+    # clique caps rho from above, the stabilizer coclique bounds it from
+    # below; never fabricated
+    ladder = report["clique_lower_bound"]
+    if ladder:
         report["density"] = {
             "status": "partial",
             "rho_lower": "1",
-            "rho_upper": str(Fraction(G.degree, report["clique_lower_bound"])),
-            "best_clique": report["clique_lower_bound"],
+            "rho_upper": str(Fraction(G.degree, ladder)),
+            "best_clique": ladder,
             "clique_optimal": False,
             "coclique_optimal": False,
         }
@@ -764,7 +746,10 @@ def corpus_scan(directory: str | Path, budgets: Budgets | None = None,
     for path in sorted(directory.glob("*.json")):
         if path.name == "index.json" or path.name.startswith("."):
             continue
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        try:
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        except OSError:  # a directory, say: analyze reports it as an integrity failure
+            digest = "unreadable"
         key = f"{path.name}:{digest}:{__version__}:{budget_key}"
         if key in cache:
             rows.append(cache[key])

@@ -166,6 +166,9 @@ def cmd_verify_cert(args) -> int:
     try:
         payload = json.loads(Path(args.file).read_text())
         kind = payload["type"]
+        for key in ("degree", "order"):  # a bool is no integer here
+            if key in payload and type(payload[key]) is not int:
+                raise TypeError(f"{key} must be an integer, got {payload[key]!r}")
         if kind in ("clique", "coclique"):
             vertices = [Permutation(v) for v in payload["vertices"]]
             if kind == "clique":

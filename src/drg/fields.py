@@ -320,14 +320,6 @@ class Matrix:
         return n
 
 
-def mat_order(M: Matrix) -> int:
-    return M.order()
-
-
-def mat_rank(M: Matrix) -> int:
-    return M.rank()
-
-
 def preserves_symplectic(M: Matrix, J: Matrix) -> bool:
     """M J M^T = J under the row-vector convention."""
     return M * J * M.transpose() == J

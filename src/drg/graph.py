@@ -39,7 +39,6 @@ DEFAULT_NODE_BUDGET = 200_000
 
 @dataclass(frozen=True)
 class DerangementSet:
-    group: PermGroup
     images: tuple[tuple[int, ...], ...]  # the derangements, sorted
     fixers: tuple[tuple[int, ...], ...]  # the other non-identity elements, sorted
 
@@ -62,7 +61,7 @@ def _element_split(G: PermGroup, budget: int) -> DerangementSet:
     images, fixers = [], []
     for t in G.element_images(budget)[1:]:  # the identity sorts first
         (fixers if has_fixed_point(t) else images).append(t)
-    return DerangementSet(G, tuple(images), tuple(fixers))
+    return DerangementSet(tuple(images), tuple(fixers))
 
 
 def derangement_set(G: PermGroup, budget: int = DEFAULT_ELEMENT_BUDGET) -> DerangementSet:
@@ -246,28 +245,20 @@ class _LazyAdjacency:
         return bits
 
 
-@dataclass
-class SearchStats:
-    nodes: int = 0
-    budget: int = DEFAULT_NODE_BUDGET
-
-    def tick(self) -> None:
-        self.nodes += 1
-        if self.nodes > self.budget:
-            raise _BudgetExhausted
-
-
-def _max_clique_search(adj: _LazyAdjacency, stats: SearchStats,
+def _max_clique_search(adj: _LazyAdjacency, node_budget: int,
                        initial: list[int] | None = None,
-                       stop_at: int | None = None) -> tuple[list[int], bool]:
+                       stop_at: int | None = None) -> tuple[list[int], bool, int]:
     """Branch and bound with a greedy-coloring bound (Tomita style).
 
-    Returns (best vertex list, closed) where closed means the search space
-    was exhausted rather than the node budget. With ``stop_at`` the search
-    returns as soon as the best clique has that many vertices; the clique it
-    returns may be larger, since a branch runs on to a maximal clique.
+    Returns (best vertex list, closed, nodes) where closed means the search
+    space was exhausted rather than the node budget, and nodes counts the
+    calls of ``expand``, the one that broke the budget included. With
+    ``stop_at`` the search returns as soon as the best clique has that many
+    vertices; the clique it returns may be larger, since a branch runs on to
+    a maximal clique.
     """
     best = list(initial or [])
+    nodes = 0
 
     def color_sort(P: int) -> list[tuple[int, int]]:
         out = []
@@ -285,8 +276,10 @@ def _max_clique_search(adj: _LazyAdjacency, stats: SearchStats,
         return out
 
     def expand(chosen: list[int], P: int) -> None:
-        nonlocal best
-        stats.tick()
+        nonlocal best, nodes
+        nodes += 1
+        if nodes > node_budget:
+            raise _BudgetExhausted
         if stop_at is not None and len(best) >= stop_at:
             return  # a warm start already at the ceiling needs no colour sort
         ordered = color_sort(P)
@@ -310,7 +303,7 @@ def _max_clique_search(adj: _LazyAdjacency, stats: SearchStats,
         expand([], adj.universe)
     except _BudgetExhausted:
         closed = False
-    return best, closed
+    return best, closed, nodes
 
 
 # -- public searches ------------------------------------------------------------
@@ -345,48 +338,41 @@ def find_k_clique(G: PermGroup, k: int,
     if k == 1:
         return CliqueSearchResult("found", CliqueCertificate([Permutation.identity(G.degree)]), 0)
     adj = _LazyAdjacency(derangement_set(G, element_budget).images)
-    stats = SearchStats(budget=node_budget)
-    best, closed = _max_clique_search(adj, stats, stop_at=k - 1)
+    best, closed, nodes = _max_clique_search(adj, node_budget, stop_at=k - 1)
     if len(best) < k - 1:
-        return CliqueSearchResult("none" if closed else "unknown", None, stats.nodes)
+        return CliqueSearchResult("none" if closed else "unknown", None, nodes)
     cert = CliqueCertificate(_identity_rooted(G.degree, adj.images, sorted(best)[:k - 1]))
     validate_clique(cert)
-    return CliqueSearchResult("found", cert, stats.nodes)
+    return CliqueSearchResult("found", cert, nodes)
 
 
 @dataclass
-class MaxCliqueResult:
-    certificate: CliqueCertificate
+class MaxSearchResult:
+    """The best clique or coclique a maximum search found."""
+
+    certificate: _VertexCertificate
     optimal: bool
     nodes: int
 
 
 def max_clique(G: PermGroup,
                node_budget: int = DEFAULT_NODE_BUDGET,
-               element_budget: int = DEFAULT_ELEMENT_BUDGET) -> MaxCliqueResult:
+               element_budget: int = DEFAULT_ELEMENT_BUDGET) -> MaxSearchResult:
     """Best clique found by branch and bound, identity-rooted.
 
     The optimality flag is True only when the search closed within budget.
     """
     adj = _LazyAdjacency(derangement_set(G, element_budget).images)
-    stats = SearchStats(budget=node_budget)
-    best, closed = _max_clique_search(adj, stats)
+    best, closed, nodes = _max_clique_search(adj, node_budget)
     cert = CliqueCertificate(_identity_rooted(G.degree, adj.images, best))
     validate_clique(cert)
-    return MaxCliqueResult(cert, closed, stats.nodes)
-
-
-@dataclass
-class MaxCocliqueResult:
-    certificate: CocliqueCertificate
-    optimal: bool
-    nodes: int
+    return MaxSearchResult(cert, closed, nodes)
 
 
 def max_intersecting_family(G: PermGroup,
                             node_budget: int = DEFAULT_NODE_BUDGET,
                             element_budget: int = DEFAULT_ELEMENT_BUDGET,
-                            clique_size_hint: int | None = None) -> MaxCocliqueResult:
+                            clique_size_hint: int | None = None) -> MaxSearchResult:
     """Best intersecting family found, as a max clique of the complement graph.
 
     Rooted at the identity (lossless: translates of intersecting families are
@@ -405,14 +391,12 @@ def max_intersecting_family(G: PermGroup,
     if clique_size_hint:
         stop_at = G.order() // clique_size_hint - 1  # excluding the identity root
 
-    stats = SearchStats(budget=node_budget)
-    best, closed = _max_clique_search(adj, stats, initial=initial, stop_at=stop_at)
+    best, closed, nodes = _max_clique_search(adj, node_budget, initial=initial, stop_at=stop_at)
     cert = CocliqueCertificate(_identity_rooted(G.degree, fixers, best))
     validate_coclique(cert)
-    optimal = closed
-    if stop_at is not None and len(best) >= stop_at:
-        optimal = True  # met the clique-coclique ceiling: provably maximum
-    return MaxCocliqueResult(cert, optimal, stats.nodes)
+    # meeting the clique-coclique ceiling proves the family maximum
+    optimal = closed or (stop_at is not None and len(best) >= stop_at)
+    return MaxSearchResult(cert, optimal, nodes)
 
 
 def clique_coclique_audit(clique: CliqueCertificate, coclique: CocliqueCertificate,

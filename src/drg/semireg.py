@@ -111,7 +111,13 @@ def is_semiregular_subgroup(H_gens, degree: int) -> bool:
 
 def validate_semiregular(witness: SemiregularWitness, degree: int,
                          subgroup_budget: int = DEFAULT_SUBGROUP_BUDGET) -> None:
-    """Independent re-verification of a witness, from the definition."""
+    """Independent re-verification of a witness, from the definition.
+
+    A witness needs at least one generator: without one, nothing bounds the
+    identity of ``degree`` points that the closure would build.
+    """
+    if not witness.generators:
+        raise WitnessError("witness has no generators")
     for g in witness.generators:
         if g.degree != degree:
             raise WitnessError(f"generator {g!r} has degree {g.degree}, not {degree}")
@@ -231,24 +237,25 @@ def _coset_has_fixed_point(r: tuple[int, ...], label: list[int]) -> bool:
     return any(map(eq, map(label.__getitem__, r), label))
 
 
-def _extend_semiregular(elems: list[tuple[int, ...]], gen_images: list[tuple[int, ...]],
+def _extend_semiregular(elems: list[tuple[int, ...]], label: list[int],
+                        gen_images: list[tuple[int, ...]],
                         q: tuple[int, ...], cap: int) -> list[tuple[int, ...]] | None:
     """<K, q> by coset extension from K, or None unless it stays semiregular.
 
-    ``elems`` lists a semiregular subgroup K, identity first; ``gen_images``
-    generate K and q lies outside it. The join is grown Dimino-style as a
-    union of cosets rK: a product s r (s a generator of <K, q>, r a coset
-    representative) outside the union so far brings in its whole coset, and
-    the union is a group once every such product lies in it.
+    ``elems`` lists a semiregular subgroup K, identity first, and ``label``
+    is ``_orbit_labels(elems)``; ``gen_images`` generate K and q lies outside
+    it. The join is grown Dimino-style as a union of cosets rK: a product
+    s r (s a generator of <K, q>, r a coset representative) outside the
+    union so far brings in its whole coset, and the union is a group once
+    every such product lies in it.
 
     A new coset is tested whole, before it is built: some element of rK
     has a fixed point exactly when r sends some point v into v's own
     K-orbit (``_coset_has_fixed_point``), and none is the identity, r being
-    outside K. The routine returns None at the first such coset, or when the
-    join would exceed ``cap`` elements. The returned list starts with K's
-    elements.
+    outside K. The routine returns None at the first such coset, the coset
+    qK included, or when the join would exceed ``cap`` elements. The
+    returned list starts with K's elements.
     """
-    label = _orbit_labels(elems)
     members = set(elems)
     out = list(elems)
     gens = [*gen_images, q]
@@ -302,8 +309,9 @@ def max_semiregular_order(G: PermGroup,
       p, which is semiregular. A join is abandoned once it outgrows the
       product of the other p-parts of n, and the search stops once the best
       order meets it.
-    - A candidate q whose coset qK holds a fixed point is rejected before
-      its join is built; the test reads the K-orbit labels of the node.
+    - A candidate q whose coset qK holds a fixed point is rejected by the
+      join's first coset test, before any element is built; the test reads
+      the K-orbit labels of the node, computed once per node.
 
     Each extension attempt is one node against ``node_budget``. The
     optimality flag is set when the best order meets that bound, or when the
@@ -393,9 +401,7 @@ def max_semiregular_order(G: PermGroup,
             nodes += 1
             if nodes > node_budget:
                 return MaxSemiregularResult(best, False, nodes, count)
-            if _coset_has_fixed_point(q, label):  # so <K, q> is not semiregular
-                continue
-            joined = _extend_semiregular(elems, gens, q, bound)
+            joined = _extend_semiregular(elems, label, gens, q, bound)
             if joined is None:
                 continue
             joinable.append(q)

@@ -25,7 +25,7 @@ from drg.constructions import (
     wreath_expected_order,
     wreath_product_action,
 )
-from drg.fields import GF, Matrix, mat_order, mat_rank, preserves_quadratic, preserves_symplectic
+from drg.fields import GF, Matrix, preserves_quadratic, preserves_symplectic
 from drg.graph import validate_clique
 from drg.group import PermGroup, blocks_and_primitivity
 from drg.perm import Permutation, is_derangement, parse_cycles
@@ -195,8 +195,8 @@ def test_rank_one_family():
             for m2 in fam:
                 assert (m * m2) == (m2 * m)
             if m != ident:
-                assert mat_rank(m.sub(ident)) == 1
-                assert mat_order(m) == p0
+                assert m.sub(ident).rank() == 1
+                assert m.order() == p0
 
 
 def test_symplectic_family_preserves_form():
@@ -212,14 +212,14 @@ def test_symplectic_family_preserves_form():
         for m in fam:
             assert (m * m).rows in images
             if m != ident:
-                assert mat_order(m) == p0
-                assert mat_rank(m.sub(ident)) in (1, 2)
+                assert m.order() == p0
+                assert m.sub(ident).rank() in (1, 2)
 
 
 def test_ppd_block_witness_2_2():
     g, A, J, p = ppd_block_witness(2, 2)  # dimension 4 over GF(4)
     assert p == 5
-    assert mat_order(g) == 5
+    assert g.order() == 5
     assert preserves_symplectic(g, J)
     assert not matrix_has_eigenvalue_in_base(A)  # degree 2: irreducible
 
@@ -227,7 +227,7 @@ def test_ppd_block_witness_2_2():
 def test_ppd_block_witness_3_1():
     g, A, J, p = ppd_block_witness(3, 1)  # dimension 6 over GF(2)
     assert p == 7
-    assert mat_order(g) == 7
+    assert g.order() == 7
     assert preserves_symplectic(g, J)
     assert not matrix_has_eigenvalue_in_base(A)  # no roots and degree 3: irreducible
 
@@ -242,7 +242,7 @@ def test_singer_minus_orders():
     for (m, q), expected in (((2, 5), 3), ((4, 3), 5), ((2, 4), 5)):
         X, Q, expect = singer_minus(m, q)
         assert expect == expected
-        assert mat_order(X) == expected
+        assert X.order() == expected
         assert preserves_quadratic(X, Q)
         for ell in range(1, expected):
             assert not matrix_has_eigenvalue_in_base(X ** ell)
@@ -251,7 +251,7 @@ def test_singer_minus_orders():
 def test_singer_minus_degenerate_case():
     X, Q, expect = singer_minus(2, 3)
     assert expect == 2
-    assert mat_order(X) == 2
+    assert X.order() == 2
     assert preserves_quadratic(X, Q)
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from drg.catalog import catalog_index, catalog_load
 from drg.graph import (
+    DEFAULT_NODE_BUDGET,
     CertificateError,
     CliqueCertificate,
     CocliqueCertificate,
@@ -17,7 +18,6 @@ from drg.graph import (
     max_intersecting_family,
     validate_clique,
     validate_coclique,
-    SearchStats,
     _LazyAdjacency,
     _max_clique_search,
 )
@@ -144,7 +144,7 @@ def test_find_k_clique_certificate_has_exactly_k_vertices(k):
     G = catalog_load("PSL2(11):11").group
     # the search's first maximal clique is larger than k
     adj = _LazyAdjacency(derangement_set(G).images)
-    best, _ = _max_clique_search(adj, SearchStats(), stop_at=k - 1)
+    best, _, _ = _max_clique_search(adj, DEFAULT_NODE_BUDGET, stop_at=k - 1)
     assert len(best) > k - 1
     r = find_k_clique(G, k)
     assert r.status == "found" and r.certificate.size == k

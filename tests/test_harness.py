@@ -133,6 +133,19 @@ def test_analyze_over_budget_group_three_valued():
     assert rep["clique_lower_bound_method"] == "sampled"
 
 
+def test_analyze_clique_ladder_matches_the_exhaustive_clique_number():
+    # the ladder reports the largest k <= 4 with a k-clique; the oracle shares
+    # no code with the greedy prefix or the exact search
+    checked = 0
+    for rec in catalog_index():
+        if not rec["transitive"] or rec["order"] > 720:
+            continue
+        omega = exhaustive_max_clique(catalog_load(rec["name"]).group)
+        assert analyze(rec["name"])["clique_lower_bound"] == min(4, omega), rec["name"]
+        checked += 1
+    assert checked >= 20
+
+
 def test_quick_k_clique_matches_exact_on_small():
     for name in ("S3:3", "C4:4", "A4:6"):
         G = catalog_load(name).group
@@ -315,6 +328,42 @@ def test_cli_density(tmp_path, capsys):
     assert "error: density bounds need a transitive group" in capsys.readouterr().err
 
 
+_MALFORMED_GROUP_FILES = {
+    "a number": "5",
+    "generators not a list": json.dumps({"name": "g", "degree": 3, "generators": 5}),
+    "subgroup without generators": json.dumps(
+        {"name": "g", "degree": 3, "generators": [[1, 2, 0]], "subgroups": [{"name": "s"}]}),
+    "degree a string": json.dumps({"name": "g", "degree": "3", "generators": ["(0,1,2)"]}),
+    "subgroup generator of another degree": json.dumps(
+        {"name": "g", "degree": 3, "generators": [[1, 2, 0]],
+         "subgroups": [{"name": "s", "generators": [[1, 0]]}]}),
+    "not UTF-8": b"\xff\xfe{",
+    "a directory": None,
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_GROUP_FILES))
+def test_malformed_group_file_is_an_integrity_error(tmp_path, capsys, case):
+    # exit 3 with a message, never a traceback, and a corpus scan lists the
+    # file as an integrity failure instead of stopping
+    content = _MALFORMED_GROUP_FILES[case]
+    path = tmp_path / "g.json"
+    if content is None:
+        path.mkdir()
+    elif isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
+    for command in ("analyze", "density"):
+        capsys.readouterr()
+        assert cli_main([command, str(path)]) == 3, command
+        assert capsys.readouterr().err.startswith("error: "), command
+    result = corpus_scan(tmp_path, use_cache=False)
+    assert result["integrity_failures"] == 1
+    assert result["rows"][0]["file"] == "g.json"
+    assert result["rows"][0]["integrity"] == "error"
+
+
 def test_cli_corpus(tmp_path, capsys):
     src = data_dir()
     (tmp_path / "c5_5.json").write_text((src / "c5_5.json").read_text())
@@ -441,12 +490,35 @@ def test_cli_verify_cert_bad_file(tmp_path, capsys):
                                                 "vertices": [[0, 1, 2], [0, 0, 1]]}),
         "generator not a permutation": json.dumps({"type": "semiregular", "degree": 3,
                                                    "order": 2, "generators": [[1, 1, 0]]}),
+        "degree a string": json.dumps({"type": "semiregular", "degree": "3",
+                                       "order": 3, "generators": [[1, 2, 0]]}),
+        "order a float": json.dumps({"type": "semiregular", "degree": 3,
+                                     "order": 3.0, "generators": [[1, 2, 0]]}),
+        "degree a bool": json.dumps({"type": "semiregular", "degree": True,
+                                     "order": 1, "generators": [[0]]}),
+        "clique degree a string": json.dumps({"type": "clique", "degree": "3",
+                                              "vertices": [[0, 1, 2], [1, 2, 0]]}),
     }
     for case, text in bad_files.items():
         path = tmp_path / "junk.json"
         path.write_text(text)
         assert cli_main(["verify-cert", str(path)]) == 3, case
         assert "error: bad certificate file" in capsys.readouterr().err, case
+
+
+def test_cli_verify_cert_rejects_a_witness_without_generators(tmp_path, capsys, monkeypatch):
+    # rejected before any closure: the degree alone would size an identity
+    import drg.semireg
+
+    def no_closure(*args, **kwargs):
+        raise AssertionError("closure built for an empty generator list")
+
+    monkeypatch.setattr(drg.semireg, "close_subgroup", no_closure)
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps({"type": "semiregular", "degree": 5, "order": 1,
+                                "generators": []}))
+    assert cli_main(["verify-cert", str(path)]) == 1
+    assert "INVALID: witness has no generators" in capsys.readouterr().out
 
 
 # -- the benchmark's tracer -----------------------------------------------------------

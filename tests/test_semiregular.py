@@ -278,7 +278,7 @@ def test_extend_semiregular_matches_close_subgroup():
                         continue
                     scan = any(q.images[k[i]] == i for k in K for i in range(n))
                     assert _coset_has_fixed_point(q.images, label) == scan, (rec["name"], q)
-                    got = _extend_semiregular(K, [g.images for g in K_gens], q.images, n)
+                    got = _extend_semiregular(K, label, [g.images for g in K_gens], q.images, n)
                     want = _join_by_definition(K_gens, q, n)
                     assert (got is None) == (want is None), (rec["name"], K_gens, q)
                     joins += 1
