@@ -61,7 +61,6 @@ from .numth import (
 from .perm import Permutation, is_derangement
 from .semireg import (
     SemiregularWitness,
-    common_cycle_length,
     element_census,
     is_elusive,
     max_semiregular_order,
@@ -497,8 +496,8 @@ def _check_psp43(budgets: Budgets):
     if not primitive:
         return "fail", {}, None, "degree-36 action is not primitive"
     # uncached: a cached census would keep this one-off group alive after the check
-    _, semi_elems = element_census.__wrapped__(G36, budgets.elements)
-    witness = next((x for x in semi_elems if common_cycle_length(x) == 9), None)
+    _, semi_elems, orders = element_census.__wrapped__(G36, budgets.elements)
+    witness = next((x for x, m in zip(semi_elems, orders) if m == 9), None)
     if witness is None:
         return "fail", {}, None, "no order-9 semiregular element found"
     w = SemiregularWitness("PSp4(3):36", [Permutation(witness)], 9, "cyclic-scan")
@@ -684,7 +683,7 @@ def analyze(source: str | Path | GroupFile, budgets: Budgets | None = None,
     report["stabilizer_order"] = G.stabilizer_order()
 
     if G.order() <= budgets.elements:
-        report["derangement_count"], _ = element_census(G, budgets.elements)
+        report["derangement_count"] = element_census(G, budgets.elements)[0]
         rep = is_elusive(G, budgets.elements)
         report["elusive"] = rep.elusive
         if rep.witness is not None:

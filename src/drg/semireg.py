@@ -3,16 +3,20 @@
 A subgroup is semiregular when its only element with a fixed point is the
 identity; its order then divides the degree, which is what keeps the
 subgroup searches here small. Elusiveness and the subgroup search read one
-element census of the group: its derangement count and its semiregular
-elements. The census tests fixed points a coset at a time: an element u∘p,
-u in the level-0 transversal and p in the base point's stabilizer, fixes i
-exactly when u[p[i]] == i, so one OR of n bitsets gives the derangements of
-the coset {u∘p : u}, and only those are built.
+element census of the group: its derangement count, its semiregular
+elements and their orders. The census tests fixed points a coset at a time:
+an element u∘p, u in the level-0 transversal and p in the base point's
+stabilizer, fixes i exactly when u[p[i]] == i, so one OR of n bitsets gives
+the derangements of the coset {u∘p : u}, and only those are built. Each gets
+one cycle walk, which finds its order when all its cycles share a length.
 
-The subgroup search is a breadth-first search that extends a semiregular
-subgroup by one cyclic semiregular subgroup at a time. Every subgroup of a
-semiregular group is semiregular, so every semiregular subgroup is reachable
-this way, and each pruning below keeps a closed search exhaustive:
+The subgroup search first reads the census orders: the best cyclic subgroup
+and the prime-part bound below come from them alone, and when they meet, as
+on most catalog groups, nothing more is built. Otherwise it is a
+breadth-first search that extends a semiregular subgroup by one cyclic
+semiregular subgroup at a time. Every subgroup of a semiregular group is
+semiregular, so every semiregular subgroup is reachable this way, and each
+pruning below keeps a closed search exhaustive:
 
 - one generator per cyclic subgroup: <K, p> = <K, q> whenever <p> = <q>;
 - one root per G-conjugacy class of cyclic subgroups: conjugation preserves
@@ -164,8 +168,13 @@ class ElusivenessReport:
 
 
 @lru_cache(maxsize=1)
-def element_census(G: PermGroup, element_budget: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """(derangement count, sorted image tuples of the non-identity semiregular elements).
+def element_census(G: PermGroup, element_budget: int) -> tuple[
+        int, tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """(derangement count, semiregular images, their orders).
+
+    The images are those of the non-identity semiregular elements, sorted,
+    and ``orders[i]`` is the order of ``images[i]``, the one cycle length
+    the census's semiregularity test finds.
 
     One pass over G's base cosets, with no Permutation built; raises
     BudgetError when |G| exceeds the budget. Each element is u∘p with u in
@@ -187,16 +196,22 @@ def element_census(G: PermGroup, element_budget: int) -> tuple[int, tuple[tuple[
     full = (1 << len(transversal)) - 1
     count = 0
     semiregular = []
+    orders = []
     for p in walk:
         deranged = full & ~reduce(or_, map(getitem, masks, p))
         count += deranged.bit_count()
         while deranged:
             low = deranged & -deranged
             x = tuple(map(transversal[low.bit_length() - 1].__getitem__, p))
-            if common_cycle_length(x) is not None:
+            m = common_cycle_length(x)
+            if m is not None:
                 semiregular.append(x)
+                orders.append(m)
             deranged ^= low
-    return count, tuple(sorted(semiregular))
+    # sorted by index: comparing (x, m) pairs would cost a tuple per element
+    by_image = sorted(range(len(semiregular)), key=semiregular.__getitem__)
+    return (count, tuple(map(semiregular.__getitem__, by_image)),
+            tuple(map(orders.__getitem__, by_image)))
 
 
 def is_elusive(G: PermGroup,
@@ -204,20 +219,20 @@ def is_elusive(G: PermGroup,
     """Search the elements of prime order for a derangement.
 
     Elusive means no fixed-point-free element of prime order exists. Such an
-    element is a derangement exactly when it is semiregular, so the witness,
-    the first one in the sorted census, is the lexicographically least one.
+    element is a derangement exactly when it is semiregular, so the witness
+    is the first census element of prime order, the lexicographically least
+    one; its order is read off the census.
     """
     primes = sorted(factorize(G.order()))
     try:
-        _, semi_elems = element_census(G, element_budget)
+        _, semi_elems, orders = element_census(G, element_budget)
     except BudgetError:
         return ElusivenessReport(G.name, None, None, None, primes,
                                  "order exceeds enumeration budget")
-    witness = next((x for x in semi_elems if is_prime(common_cycle_length(x))), None)
-    if witness is None:
+    i = next((i for i, m in enumerate(orders) if is_prime(m)), None)
+    if i is None:
         return ElusivenessReport(G.name, True, None, None, primes)
-    return ElusivenessReport(G.name, False, Permutation(witness),
-                             common_cycle_length(witness), primes)
+    return ElusivenessReport(G.name, False, Permutation(semi_elems[i]), orders[i], primes)
 
 
 # -- maximum semiregular order --------------------------------------------------
@@ -252,10 +267,13 @@ def _extend_semiregular(elems: list[tuple[int, ...]], label: list[int],
     A new coset is tested whole, before it is built: some element of rK
     has a fixed point exactly when r sends some point v into v's own
     K-orbit (``_coset_has_fixed_point``), and none is the identity, r being
-    outside K. The routine returns None at the first such coset, the coset
-    qK included, or when the join would exceed ``cap`` elements. The
-    returned list starts with K's elements.
+    outside K. The routine returns None at the first such coset, or when
+    the join would exceed ``cap`` elements. The coset qK, which rejects most
+    candidates, is tested before K is copied. The returned list starts with
+    K's elements.
     """
+    if _coset_has_fixed_point(q, label):
+        return None
     members = set(elems)
     out = list(elems)
     gens = [*gen_images, q]
@@ -286,47 +304,69 @@ def max_semiregular_order(G: PermGroup,
                           node_budget: int = DEFAULT_NODE_BUDGET) -> MaxSemiregularResult:
     """Largest semiregular subgroup found, with provenance.
 
-    Search order: every cyclic subgroup generated by a semiregular element of
-    the element census, then a breadth-first search over semiregular
-    subgroups extended one cyclic subgroup at a time. Each pruning keeps it
-    exact:
+    Search order, cheapest first:
 
-    - Cyclic subgroups come from one walk over the powers of their least
+    - The prime-part bound and the best cyclic subgroup, from the census
+      orders alone. A semiregular order divides the degree n, and its p-part
+      is 1 for every prime p that divides no semiregular element's order: a
+      semiregular subgroup of order divisible by p holds an element of order
+      p, which is semiregular. The best cyclic subgroup is generated by the
+      first census element of the largest order. If its order meets the
+      bound, it is returned at once, with no search node.
+    - Every cyclic subgroup, from one walk over the powers of its least
       generator; an extension joins only that generator, since <K, p> =
       <K, q> whenever <p> = <q>.
-    - The search starts from one cyclic subgroup per G-conjugacy class.
+    - A breadth-first search over semiregular subgroups extended one cyclic
+      subgroup at a time, from one cyclic subgroup per G-conjugacy class.
       Conjugation preserves order and semiregularity, and every nontrivial
       semiregular H contains a cyclic subgroup C; if C^g is the root of C's
-      class then H^g contains it and is reached from it.
+      class then H^g contains it and is reached from it. The classes do not
+      depend on G's generating set, so the roots are found by conjugating
+      with a reduced one.
+
+    Each pruning of the search keeps it exact:
+
     - A child tries only the generators whose join with its parent was
       semiregular: if <K, q> is not semiregular, no <K', q> with K' >= K is,
       since it contains <K, q> and subgroups of semiregular groups are
       semiregular. A subgroup reached from several parents keeps the first
       list; each parent's list holds every q the subgroup can take.
-    - A semiregular order divides the degree n, and its p-part is 1 for
-      every prime p that divides no semiregular element's order: a
-      semiregular subgroup of order divisible by p holds an element of order
-      p, which is semiregular. A join is abandoned once it outgrows the
-      product of the other p-parts of n, and the search stops once the best
-      order meets it.
+    - A join is abandoned once it outgrows the prime-part bound, and the
+      search stops once the best order meets it.
     - A candidate q whose coset qK holds a fixed point is rejected by the
       join's first coset test, before any element is built; the test reads
       the K-orbit labels of the node, computed once per node.
 
     Each extension attempt is one node against ``node_budget``. The
-    optimality flag is set when the best order meets that bound, or when the
-    census was complete and the search exhausted its frontier within the
-    node budget; a capped run reports the best witness found, never a
-    negative claim.
+    optimality flag is set when the best order meets the prime-part bound,
+    or when the census was complete and the search exhausted its frontier
+    within the node budget; a capped run reports the best witness found,
+    never a negative claim.
     """
     n = G.degree
     best = SemiregularWitness(G.name, [Permutation.identity(n)], 1, "cyclic-scan")
     nodes = 0
     try:
-        _, images = element_census(G, element_budget)
+        _, images, orders = element_census(G, element_budget)
     except BudgetError:
         return MaxSemiregularResult(best, False, nodes)
     count = len(images)
+
+    # the prime-part bound: a semiregular subgroup of order divisible by p
+    # holds a semiregular element of order p
+    distinct = set(orders)
+    bound = 1
+    for p, e in factorize(n).items():
+        if any(m % p == 0 for m in distinct):
+            bound *= p ** e
+    # the best cyclic subgroup: generated by the first element of largest order
+    if orders:
+        top = max(orders)
+        coprime = semiregular_primes(G) if G.is_transitive() else set()
+        method = "order-coprime" if top in coprime else "cyclic-scan"
+        best = SemiregularWitness(G.name, [Permutation(images[orders.index(top)])], top, method)
+    if best.order == bound:
+        return MaxSemiregularResult(best, True, nodes, count)
 
     # cyclic subgroups: least generator (census index) -> sorted census
     # indices of its non-identity elements; every power of a semiregular
@@ -335,8 +375,6 @@ def max_semiregular_order(G: PermGroup,
     index = {x: i for i, x in enumerate(images)}
     least: list[int | None] = [None] * count
     cyclic: dict[int, tuple[int, ...]] = {}
-    coprime = semiregular_primes(G) if G.is_transitive() else set()
-    orders = set()
     for i, p in enumerate(images):
         if least[i] is not None:
             continue
@@ -345,26 +383,15 @@ def max_semiregular_order(G: PermGroup,
         while x != identity:
             powers.append(index[x])
             x = tuple(map(p.__getitem__, x))
-        order = len(powers) + 1
         for k, j in enumerate(powers, 1):
-            if gcd(k, order) == 1:
+            if gcd(k, orders[i]) == 1:
                 least[j] = i
         cyclic[i] = tuple(sorted(powers))
-        orders.add(order)
-        if order > best.order:
-            method = "order-coprime" if order in coprime else "cyclic-scan"
-            best = SemiregularWitness(G.name, [Permutation(p)], order, method)
-    # the prime-part bound: a semiregular subgroup of order divisible by p
-    # holds a semiregular element of order p
-    bound = 1
-    for p, e in factorize(n).items():
-        if any(order % p == 0 for order in orders):
-            bound *= p ** e
-    if best.order == bound:
-        return MaxSemiregularResult(best, True, nodes, count)
 
-    # one root per G-conjugacy class of cyclic subgroups, the least one
-    conjugators = [(g.images, inverse(g).images) for g in G.generators]
+    # one root per G-conjugacy class of cyclic subgroups, the least one; the
+    # classes do not depend on the generating set, so a small one serves
+    conjugators = [(g.images, inverse(g).images)
+                   for g in reduce_generators(list(G.generators), n, G.order())]
     roots = []
     seen: set[int] = set()
     for i in cyclic:
@@ -516,10 +543,12 @@ def wreath_elusive_check(base: PermGroup, top: PermGroup,
     h = base_report.witness
     h_list = [h] + [Permutation.identity(base.degree)] * (kappa - 1)
     a = Permutation.identity(kappa)
-    assert product_action_fpf(h_list, a)
+    if not product_action_fpf(h_list, a):
+        raise WitnessError("the placed base witness has a fixed point in the product action")
     witness = None
     if base.degree ** kappa <= 1_000_000:
         witness = product_action_perm(h_list, a)
-        assert is_derangement(witness)
+        if not is_derangement(witness):
+            raise WitnessError(f"expanded witness {witness!r} fixes a point")
     return ElusivenessReport(name, False, witness, base_report.witness_order, primes,
                              "base witness placed in the first coordinate")

@@ -3,9 +3,11 @@ import random
 
 import pytest
 
+from drg import semireg
 from drg.catalog import catalog_index, catalog_load
 from drg.checks import Budgets
 from drg.group import BlockSystem, PermGroup, close_subgroup
+from drg.numth import is_prime
 from drg.perm import (
     Permutation,
     PermError,
@@ -244,9 +246,10 @@ def test_element_census_matches_definition_on_catalog():
         G = catalog_load(rec["name"]).group
         deranged = [x for x in G.iter_images() if not has_fixed_point(x)]
         semiregular = sorted(x for x in deranged if common_cycle_length(x) is not None)
-        count, census = element_census.__wrapped__(G, G.order())
+        count, census, orders = element_census.__wrapped__(G, G.order())
         assert count == len(deranged), rec["name"]
         assert census == tuple(semiregular), rec["name"]
+        assert orders == tuple(map(common_cycle_length, census)), rec["name"]
         checked += 1
     assert checked >= 30
 
@@ -304,6 +307,49 @@ def test_max_semiregular_closes_on_the_catalog_at_analyze_budgets():
         assert r.optimal, name
         assert r.witness.order == order, (name, r.witness.order)
         validate_semiregular(r.witness, G.degree)
+
+
+def test_max_semiregular_returns_at_the_bound_before_the_walks(monkeypatch):
+    # a best cyclic order that meets the prime-part bound is returned before
+    # the cyclic-subgroup and conjugacy-root walks, so the root conjugators
+    # are never reduced
+    def fail(*args):
+        raise AssertionError("reduce_generators called")
+
+    monkeypatch.setattr(semireg, "reduce_generators", fail)
+    b = Budgets()
+    for name in ("A7:7", "PSp4(3):36"):
+        G = catalog_load(name).group
+        r = max_semiregular_order(G, b.elements, b.nodes)
+        assert r.optimal and r.nodes == 0, name
+
+
+def test_max_semiregular_cyclic_answer_is_the_first_element_of_largest_order():
+    # without a search node, the witness is the first census element of the
+    # largest order, computed here from Permutation.order
+    b = Budgets()
+    checked = 0
+    for rec in catalog_index():
+        if rec["order"] > 25_920:
+            continue
+        G = catalog_load(rec["name"]).group
+        if not G.is_transitive():
+            continue
+        r = max_semiregular_order(G, b.elements, b.nodes)
+        if r.nodes:
+            continue
+        _, census, _ = element_census(G, b.elements)
+        if not census:
+            assert r.witness.order == 1, rec["name"]
+            continue
+        orders = [Permutation(x).order() for x in census]
+        top = max(orders)
+        assert r.witness.generators == [Permutation(census[orders.index(top)])], rec["name"]
+        assert r.witness.order == top, rec["name"]
+        coprime = is_prime(top) and top in semiregular_primes(G)
+        assert r.witness.method == ("order-coprime" if coprime else "cyclic-scan"), rec["name"]
+        checked += 1
+    assert checked >= 20
 
 
 def test_max_semiregular_searches_from_every_conjugacy_class_root():
@@ -429,3 +475,16 @@ def test_wreath_elusive_not_elusive_alt5():
     assert rep.witness is not None and is_derangement(rep.witness)
     assert rep.witness.degree == 25
     assert rep.witness_order == 5
+
+
+def test_wreath_elusive_check_raises_on_a_bad_witness(monkeypatch):
+    # explicit raises, not asserts, so the checks also run under python -O
+    c2 = PermGroup([parse_cycles("(0,1)", 2)], name="C2")
+    monkeypatch.setattr(semireg, "product_action_fpf", lambda h_list, a: False)
+    with pytest.raises(WitnessError):
+        wreath_elusive_check(alt(5), c2)
+    monkeypatch.undo()
+    monkeypatch.setattr(semireg, "product_action_perm",
+                        lambda h_list, a: Permutation.identity(25))
+    with pytest.raises(WitnessError):
+        wreath_elusive_check(alt(5), c2)
