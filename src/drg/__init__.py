@@ -30,6 +30,7 @@ from .graph import (
 )
 from .semireg import (
     ElusivenessReport,
+    SemiregularBoundCertificate,
     SemiregularWitness,
     is_elusive,
     is_semiregular_element,
@@ -37,6 +38,7 @@ from .semireg import (
     lift_semiregular,
     max_semiregular_order,
     product_action_fpf,
+    semiregular_bound_certificate,
     semiregular_primes,
     wreath_elusive_check,
 )

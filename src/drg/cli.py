@@ -34,7 +34,13 @@ from .numth import (
     sylvester_prime,
 )
 from .perm import Permutation, PermError
-from .semireg import SemiregularWitness, WitnessError, validate_semiregular
+from .semireg import (
+    SemiregularBoundCertificate,
+    SemiregularWitness,
+    WitnessError,
+    validate_semiregular,
+    validate_semiregular_bound,
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -187,6 +193,17 @@ def cmd_verify_cert(args) -> int:
             witness = SemiregularWitness(payload.get("group", ""), gens,
                                          payload["order"], payload.get("method", "catalog"))
             validate_semiregular(witness, payload["degree"])
+        elif kind == "semiregular-bound":
+            exclusions = []
+            for e in payload["exclusions"]:
+                d, p = e["excluded_order"], e["prime"]
+                if type(d) is not int or type(p) is not int:
+                    raise TypeError(f"excluded order and prime must be integers, got {d!r}, {p!r}")
+                exclusions.append((d, p, Permutation(e["element"])))
+            cert = SemiregularBoundCertificate(
+                payload.get("group", ""), [Permutation(v) for v in payload["generators"]],
+                payload["order"], exclusions)
+            validate_semiregular_bound(cert, payload["degree"])
         else:
             print(f"unknown certificate type {kind!r}", file=sys.stderr)
             return 3

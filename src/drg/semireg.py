@@ -27,7 +27,14 @@ pruning below keeps a closed search exhaustive:
 - a stop at the prime-part bound: the product of p^{v_p(n)} over the primes
   p | n that divide the order of some semiregular element. A semiregular
   subgroup of order divisible by p holds a semiregular element of order p,
-  and its order divides n.
+  and its order divides n;
+- Sylow exclusions below that bound: an order d is ruled out when some
+  prime p exactly divides d and |G| but not |G_x|, every group of order d
+  has a normal Sylow p-subgroup, and d does not divide |N_G(P)|, which the
+  census gives for P of order p. A subgroup of order d would lie in the
+  normalizer of its Sylow p-subgroup, a conjugate of P. The excluded orders
+  are recorded, and a ``semiregular-bound`` certificate restates them for
+  a checker that recomputes |N_G(P)| without the census.
 
 A join is built by coset extension from K, and each new coset rK is tested
 whole: some r∘k has a fixed point exactly when r sends some point v into
@@ -37,7 +44,7 @@ v's own K-orbit. So a coset's elements are built only once it has passed.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from math import gcd, lcm
 from operator import eq, getitem, or_
@@ -291,12 +298,24 @@ def _extend_semiregular(elems: list[tuple[int, ...]], label: list[int],
     return out
 
 
+def _forces_normal_sylow(d: int, p: int) -> bool:
+    """Whether p exactly divides d and every group of order d has a normal C_p.
+
+    By Sylow the number of Sylow p-subgroups divides d/p and is 1 mod p, so
+    it is 1 when no divisor t > 1 of d/p is 1 mod p.
+    """
+    m, r = divmod(d, p)
+    return r == 0 and m % p != 0 and not any(m % t == 0 for t in range(p + 1, m + 1, p))
+
+
 @dataclass
 class MaxSemiregularResult:
     witness: SemiregularWitness
     optimal: bool
     nodes: int  # extension attempts
     semiregular_element_count: int = 0
+    # order d -> the prime p of the Sylow argument that G has no subgroup of order d
+    excluded: dict[int, int] = field(default_factory=dict)
 
 
 def max_semiregular_order(G: PermGroup,
@@ -313,6 +332,18 @@ def max_semiregular_order(G: PermGroup,
       p, which is semiregular. The best cyclic subgroup is generated by the
       first census element of the largest order. If its order meets the
       bound, it is returned at once, with no search node.
+    - Sylow exclusions lower the bound to the largest divisor of it, above
+      the best cyclic order, that G may hold a subgroup of. A divisor d is
+      excluded by a prime p that exactly divides d and |G| but not |G_x|
+      when every group of order d has a normal Sylow p-subgroup
+      (``_forces_normal_sylow``) and d does not divide |N_G(P)|. Every
+      element of order p is then semiregular, so the census counts them,
+      and the Sylow p-subgroups, all conjugate C_p, number that count over
+      p - 1: |N_G(P)| = |G| (p - 1) / count. A subgroup of order d would lie
+      in the normalizer of its Sylow p-subgroup, a conjugate of P, so none
+      exists. The excluded orders and their primes are recorded in
+      ``excluded``; if the bound falls to the best cyclic order, that is
+      returned at once.
     - Every cyclic subgroup, from one walk over the powers of its least
       generator; an extension joins only that generator, since <K, p> =
       <K, q> whenever <p> = <q>.
@@ -331,17 +362,17 @@ def max_semiregular_order(G: PermGroup,
       since it contains <K, q> and subgroups of semiregular groups are
       semiregular. A subgroup reached from several parents keeps the first
       list; each parent's list holds every q the subgroup can take.
-    - A join is abandoned once it outgrows the prime-part bound, and the
-      search stops once the best order meets it.
+    - A join is abandoned once it outgrows the bound, and the search stops
+      once the best order meets it: no semiregular subgroup is larger.
     - A candidate q whose coset qK holds a fixed point is rejected by the
       join's first coset test, before any element is built; the test reads
       the K-orbit labels of the node, computed once per node.
 
     Each extension attempt is one node against ``node_budget``. The
-    optimality flag is set when the best order meets the prime-part bound,
-    or when the census was complete and the search exhausted its frontier
-    within the node budget; a capped run reports the best witness found,
-    never a negative claim.
+    optimality flag is set when the best order meets the bound, lowered by
+    the Sylow exclusions, or when the census was complete and the search
+    exhausted its frontier within the node budget; a capped run reports the
+    best witness found, never a negative claim.
     """
     n = G.degree
     best = SemiregularWitness(G.name, [Permutation.identity(n)], 1, "cyclic-scan")
@@ -367,6 +398,26 @@ def max_semiregular_order(G: PermGroup,
         best = SemiregularWitness(G.name, [Permutation(images[orders.index(top)])], top, method)
     if best.order == bound:
         return MaxSemiregularResult(best, True, nodes, count)
+
+    # Sylow exclusions: for p exactly dividing |G| and not |G_x|, the census
+    # holds every element of order p, and they generate the Sylow p-subgroups
+    group_order = G.order()
+    normalizers = {p: group_order * (p - 1) // orders.count(p)
+                   for p in sorted(coprime) if group_order % (p * p)}
+    excluded: dict[int, int] = {}
+    for d in range(bound, best.order, -1):
+        if bound % d:
+            continue
+        p = next((p for p, size in normalizers.items()
+                  if size % d and _forces_normal_sylow(d, p)), None)
+        if p is None:
+            bound = d
+            break
+        excluded[d] = p
+    else:
+        bound = best.order
+    if best.order == bound:
+        return MaxSemiregularResult(best, True, nodes, count, excluded)
 
     # cyclic subgroups: least generator (census index) -> sorted census
     # indices of its non-identity elements; every power of a semiregular
@@ -427,7 +478,7 @@ def max_semiregular_order(G: PermGroup,
                 continue
             nodes += 1
             if nodes > node_budget:
-                return MaxSemiregularResult(best, False, nodes, count)
+                return MaxSemiregularResult(best, False, nodes, count, excluded)
             joined = _extend_semiregular(elems, label, gens, q, bound)
             if joined is None:
                 continue
@@ -441,10 +492,114 @@ def max_semiregular_order(G: PermGroup,
                 best = SemiregularWitness(G.name, [Permutation(g) for g in gens + [q]],
                                           len(joined), "backtrack")
                 if best.order == bound:
-                    return MaxSemiregularResult(best, True, nodes, count)
+                    return MaxSemiregularResult(best, True, nodes, count, excluded)
         queue.extend((child_gens, child, joinable) for child_gens, child in children)
 
-    return MaxSemiregularResult(best, True, nodes, count)
+    return MaxSemiregularResult(best, True, nodes, count, excluded)
+
+
+# -- Sylow exclusion certificates ------------------------------------------------
+
+
+@dataclass
+class SemiregularBoundCertificate:
+    """G holds no subgroup of each excluded order d, by a Sylow argument at p.
+
+    Each exclusion is (d, p, x) with x an element of G of order p.
+    """
+    group_name: str
+    generators: list[Permutation]
+    order: int
+    exclusions: list[tuple[int, int, Permutation]]
+
+    def to_json_dict(self) -> dict:
+        return {
+            "type": "semiregular-bound",
+            "group": self.group_name,
+            "degree": self.generators[0].degree,
+            "order": self.order,
+            "generators": [list(g.images) for g in self.generators],
+            "exclusions": [{"excluded_order": d, "prime": p, "element": list(x.images)}
+                           for d, p, x in self.exclusions],
+        }
+
+
+def semiregular_bound_certificate(G: PermGroup, result: MaxSemiregularResult,
+                                  element_budget: int = DEFAULT_ELEMENT_BUDGET
+                                  ) -> SemiregularBoundCertificate:
+    """The exclusions of a search as a certificate.
+
+    Each excluded order carries its prime p and the first census element of
+    order p, which generates a Sylow p-subgroup.
+    """
+    _, images, orders = element_census(G, element_budget)
+    return SemiregularBoundCertificate(
+        G.name, list(G.generators), G.order(),
+        [(d, p, Permutation(images[orders.index(p)])) for d, p in result.excluded.items()])
+
+
+def validate_semiregular_bound(cert: SemiregularBoundCertificate, degree: int) -> None:
+    """Independent re-check that G has no subgroup of any excluded order.
+
+    Reads |G| and membership off a stabilizer chain of the certificate's
+    generators, never the census or the search. For each (d, p, x): p is a
+    prime exactly dividing |G|, so P = <x> of order p is a Sylow p-subgroup
+    and every other is conjugate to it; p exactly divides d and no t > 1
+    dividing d/p is 1 mod p, so a subgroup of order d has one Sylow
+    p-subgroup, normal in it, and lies in a conjugate of N_G(P). Its order
+    |G| / |P^G| is read off the conjugates of P, found by a breadth-first
+    walk under the generators, and d must not divide it.
+    """
+    if not cert.generators:
+        raise WitnessError("certificate has no generators")
+    for g in [*cert.generators, *(x for _, _, x in cert.exclusions)]:
+        if g.degree != degree:
+            raise WitnessError(f"permutation {g!r} has degree {g.degree}, not {degree}")
+    G = PermGroup(cert.generators, degree)
+    if G.order() != cert.order:
+        raise WitnessError(f"certificate order {cert.order} != group order {G.order()}")
+    identity = tuple(range(degree))
+
+    def subgroup_key(y: tuple[int, ...]) -> tuple[int, ...]:
+        # <y> is named by its least non-identity element
+        key, z = y, tuple(y[i] for i in y)
+        while z != identity:
+            key = min(key, z)
+            z = tuple(y[i] for i in z)
+        return key
+
+    for d, p, x in cert.exclusions:
+        if not is_prime(p) or cert.order % p or cert.order % (p * p) == 0:
+            raise WitnessError(f"{p} is no prime exactly dividing |G| = {cert.order}")
+        m, r = divmod(d, p)
+        if d < 1 or r or m % p == 0:
+            raise WitnessError(f"{p} does not exactly divide {d}")
+        t = next((t for t in range(2, m + 1) if m % t == 0 and t % p == 1), None)
+        if t is not None:
+            raise WitnessError(f"a group of order {d} may have {t} Sylow {p}-subgroups, "
+                               f"so none need be normal")
+        if x not in G:
+            raise WitnessError(f"element {x!r} does not lie in G")
+        if x.order() != p:
+            raise WitnessError(f"element {x!r} has order {x.order()}, not {p}")
+        seen = {subgroup_key(x.images)}
+        frontier = [x.images]
+        while frontier:
+            new_frontier = []
+            for y in frontier:
+                for g in cert.generators:
+                    # y relabelled by g: i -> j becomes g[i] -> g[j]
+                    conjugate = [0] * degree
+                    for i, j in enumerate(y):
+                        conjugate[g.images[i]] = g.images[j]
+                    key = subgroup_key(tuple(conjugate))
+                    if key not in seen:
+                        seen.add(key)
+                        new_frontier.append(key)
+            frontier = new_frontier
+        normalizer = cert.order // len(seen)
+        if normalizer % d == 0:
+            raise WitnessError(f"{d} divides |N_G(P)| = {normalizer}")
 
 
 # -- block lifting ---------------------------------------------------------------

@@ -521,6 +521,56 @@ def test_cli_verify_cert_rejects_a_witness_without_generators(tmp_path, capsys, 
     assert "INVALID: witness has no generators" in capsys.readouterr().out
 
 
+PSP43_40_BOUND = Path(__file__).resolve().parent / "data" / "psp43_40_semiregular_bound.json"
+
+
+def _element_of_order_2(payload):
+    # a power of the first product of two generators of even order
+    gens = [Permutation(v) for v in payload["generators"]]
+    g = next(g * h for g in gens for h in gens if (g * h).order() % 2 == 0)
+    return g ** (g.order() // 2)
+
+
+def test_cli_verify_cert_semiregular_bound(tmp_path, capsys):
+    assert cli_main(["verify-cert", str(PSP43_40_BOUND)]) == 0
+    assert capsys.readouterr().out == "VALID\n"
+    payload = json.loads(PSP43_40_BOUND.read_text())
+    involution = list(_element_of_order_2(payload).images)
+    five_cycle = list(parse_cycles("(0,1,2,3,4)", 40).images)
+    tampered = {
+        "20 divides |N_G(P)| = 20": {"excluded_order": 20},
+        "2 is no prime exactly dividing": {"prime": 2, "element": involution},
+        "does not lie in G": {"element": five_cycle},
+        "has order 2, not 5": {"element": involution},
+        "may have 6 Sylow 5-subgroups": {"excluded_order": 30},
+    }
+    path = tmp_path / "bound.json"
+    for message, change in tampered.items():
+        bad = json.loads(PSP43_40_BOUND.read_text())
+        bad["exclusions"][0].update(change)
+        path.write_text(json.dumps(bad))
+        assert cli_main(["verify-cert", str(path)]) == 1, message
+        assert message in capsys.readouterr().out, message
+    for key, value in (("order", 25920.0), ("degree", "40"), ("excluded_order", "40")):
+        bad = json.loads(PSP43_40_BOUND.read_text())
+        (bad["exclusions"][0] if key == "excluded_order" else bad)[key] = value
+        path.write_text(json.dumps(bad))
+        assert cli_main(["verify-cert", str(path)]) == 3, key
+        assert "error: bad certificate file" in capsys.readouterr().err, key
+
+
+def test_validate_semiregular_bound_needs_no_census_or_search(capsys, monkeypatch):
+    import drg.semireg
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the checker called the census or the search")
+
+    monkeypatch.setattr(drg.semireg, "element_census", fail)
+    monkeypatch.setattr(drg.semireg, "max_semiregular_order", fail)
+    assert cli_main(["verify-cert", str(PSP43_40_BOUND)]) == 0
+    assert capsys.readouterr().out == "VALID\n"
+
+
 # -- the benchmark's tracer -----------------------------------------------------------
 
 

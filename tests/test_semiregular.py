@@ -1,13 +1,18 @@
+import hashlib
 import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 
 from drg import semireg
 from drg.catalog import catalog_index, catalog_load
 from drg.checks import Budgets
-from drg.group import BlockSystem, PermGroup, close_subgroup
+from drg.constructions import natural_alt
+from drg.group import BlockSystem, PermGroup, close_subgroup, coset_action
 from drg.numth import is_prime
+from drg.oracles import exhaustive_max_semiregular
 from drg.perm import (
     Permutation,
     PermError,
@@ -20,6 +25,7 @@ from drg.semireg import (
     ElusivenessReport,
     _coset_has_fixed_point,
     _extend_semiregular,
+    _forces_normal_sylow,
     _orbit_labels,
     SemiregularWitness,
     WitnessError,
@@ -33,8 +39,10 @@ from drg.semireg import (
     product_action_fpf,
     product_action_order,
     product_action_perm,
+    semiregular_bound_certificate,
     semiregular_primes,
     validate_semiregular,
+    validate_semiregular_bound,
     wreath_elusive_check,
 )
 
@@ -360,6 +368,79 @@ def test_max_semiregular_searches_from_every_conjugacy_class_root():
     r = max_semiregular_order(G)
     assert r.optimal and r.witness.order == 12
     validate_semiregular(r.witness, G.degree)
+
+
+@pytest.mark.parametrize("d, p, forced", [
+    (40, 5, True), (20, 5, True), (10, 5, True), (15, 5, True),
+    (30, 5, False),  # 6 divides 6 and is 1 mod 5
+    (12, 3, False),  # 4 divides 4 and is 1 mod 3
+    (60, 5, False),  # 6 divides 12
+    (50, 5, False),  # 5 divides 50 twice
+])
+def test_forces_normal_sylow(d, p, forced):
+    assert _forces_normal_sylow(d, p) is forced
+
+
+@pytest.mark.parametrize("m, H_cycles, degree, order, excluded", [
+    (4, [], 12, 12, {}),             # A4 regular: 12 stays, 4 = 1 mod 3
+    (5, [], 60, 60, {}),             # A5 regular: 60 stays, 4 and 6 are 1 mod 3 and 5
+    (5, ["(0,1,2)"], 20, 10, {20: 5}),
+    (5, ["(0,1)(2,3)"], 30, 5, {15: 3}),
+    (5, ["(0,1)(2,3)", "(0,2)(1,3)"], 15, 5, {15: 3}),
+])
+def test_max_semiregular_sylow_exclusions_match_the_oracle(m, H_cycles, degree, order, excluded):
+    # the rule is consulted on each group; where it lowers the bound the
+    # search closes below the prime-part bound, and the oracle agrees
+    A = natural_alt(m)
+    H_gens = [parse_cycles(c, m) for c in H_cycles] or [Permutation.identity(m)]
+    G = coset_action(A, H_gens).group
+    assert G.degree == degree
+    r = max_semiregular_order(G)
+    assert r.optimal and r.witness.order == order == exhaustive_max_semiregular(G)
+    assert r.excluded == excluded
+    validate_semiregular(r.witness, degree)
+
+
+def test_max_semiregular_psp43_40_closes_at_the_sylow_bound():
+    # 40 is excluded (every group of order 40 has a normal C5, and
+    # |N_G(C5)| = 20), so the search stops at its first join of order 20
+    b = Budgets()
+    G = catalog_load("PSp4(3):40").group
+    r = max_semiregular_order(G, b.elements, b.nodes)
+    assert r.optimal and r.witness.order == 20 and r.witness.method == "backtrack"
+    assert r.excluded == {40: 5}
+    assert r.nodes < 1000
+    digest = hashlib.sha256(json.dumps(r.witness.to_json_dict()).encode()).hexdigest()
+    assert digest.startswith("b22c9b3f6801")
+
+
+def test_max_semiregular_sylow_rule_fires_on_no_other_catalog_group():
+    # where the rule excludes nothing, the search is the one before it: node
+    # counts, optimality flags and witnesses hash to what it returned
+    b = Budgets()
+    searched = {"A4:4": 1, "A8:8": 204, "M12:12": 1010, "PSL2(11):12": 25,
+                "PSL2(7):8": 10, "PSU3(3):36": 27, "Q8:8": 4, "S4:6": 3}
+    h = hashlib.sha256()
+    for rec in catalog_index():
+        if rec["name"] == "PSp4(3):40":
+            continue
+        G = catalog_load(rec["name"]).group
+        r = max_semiregular_order(G, b.elements, b.nodes)
+        assert r.excluded == {}, rec["name"]
+        assert r.nodes == searched.get(rec["name"], 0), rec["name"]
+        h.update(json.dumps([rec["name"], r.nodes, r.optimal, r.witness.to_json_dict()]).encode())
+    assert h.hexdigest() == "480ca03a0725ce388557115db5761ca8cca36e7c7596c638cdffff69f62c1c4e"
+
+
+def test_psp43_40_semiregular_bound_certificate_regenerates():
+    # the committed file is json.dumps(certificate, sort_keys=True) plus a newline
+    path = Path(__file__).resolve().parent / "data" / "psp43_40_semiregular_bound.json"
+    b = Budgets()
+    G = catalog_load("PSp4(3):40").group
+    cert = semiregular_bound_certificate(G, max_semiregular_order(G, b.elements, b.nodes),
+                                         b.elements)
+    assert json.dumps(cert.to_json_dict(), sort_keys=True) + "\n" == path.read_text()
+    validate_semiregular_bound(cert, G.degree)
 
 
 def test_validate_semiregular_rejects_bad():
