@@ -314,8 +314,10 @@ class MaxSemiregularResult:
     optimal: bool
     nodes: int  # extension attempts
     semiregular_element_count: int = 0
-    # order d -> the prime p of the Sylow argument that G has no subgroup of order d
-    excluded: dict[int, int] = field(default_factory=dict)
+    # order d -> (p, x): G has no subgroup of order d by the Sylow argument at
+    # the prime p, and x, the first census element of order p, generates a
+    # Sylow p-subgroup
+    excluded: dict[int, tuple[int, Permutation]] = field(default_factory=dict)
 
 
 def max_semiregular_order(G: PermGroup,
@@ -341,8 +343,8 @@ def max_semiregular_order(G: PermGroup,
       and the Sylow p-subgroups, all conjugate C_p, number that count over
       p - 1: |N_G(P)| = |G| (p - 1) / count. A subgroup of order d would lie
       in the normalizer of its Sylow p-subgroup, a conjugate of P, so none
-      exists. The excluded orders and their primes are recorded in
-      ``excluded``; if the bound falls to the best cyclic order, that is
+      exists. The excluded orders, their primes and an element of each
+      prime's order are recorded in ``excluded``; if the bound falls to the best cyclic order, that is
       returned at once.
     - Every cyclic subgroup, from one walk over the powers of its least
       generator; an extension joins only that generator, since <K, p> =
@@ -404,7 +406,7 @@ def max_semiregular_order(G: PermGroup,
     group_order = G.order()
     normalizers = {p: group_order * (p - 1) // orders.count(p)
                    for p in sorted(coprime) if group_order % (p * p)}
-    excluded: dict[int, int] = {}
+    excluded: dict[int, tuple[int, Permutation]] = {}
     for d in range(bound, best.order, -1):
         if bound % d:
             continue
@@ -413,7 +415,7 @@ def max_semiregular_order(G: PermGroup,
         if p is None:
             bound = d
             break
-        excluded[d] = p
+        excluded[d] = (p, Permutation(images[orders.index(p)]))
     else:
         bound = best.order
     if best.order == bound:
@@ -524,18 +526,12 @@ class SemiregularBoundCertificate:
         }
 
 
-def semiregular_bound_certificate(G: PermGroup, result: MaxSemiregularResult,
-                                  element_budget: int = DEFAULT_ELEMENT_BUDGET
-                                  ) -> SemiregularBoundCertificate:
-    """The exclusions of a search as a certificate.
-
-    Each excluded order carries its prime p and the first census element of
-    order p, which generates a Sylow p-subgroup.
-    """
-    _, images, orders = element_census(G, element_budget)
+def semiregular_bound_certificate(G: PermGroup,
+                                  result: MaxSemiregularResult) -> SemiregularBoundCertificate:
+    """The exclusions of a search as a certificate."""
     return SemiregularBoundCertificate(
         G.name, list(G.generators), G.order(),
-        [(d, p, Permutation(images[orders.index(p)])) for d, p in result.excluded.items()])
+        [(d, p, x) for d, (p, x) in result.excluded.items()])
 
 
 def validate_semiregular_bound(cert: SemiregularBoundCertificate, degree: int) -> None:
@@ -544,7 +540,8 @@ def validate_semiregular_bound(cert: SemiregularBoundCertificate, degree: int) -
     Reads |G| and membership off a stabilizer chain of the certificate's
     generators, never the census or the search. For each (d, p, x): p is a
     prime exactly dividing |G|, so P = <x> of order p is a Sylow p-subgroup
-    and every other is conjugate to it; p exactly divides d and no t > 1
+    and every other is conjugate to it; d divides |G|, as a subgroup order
+    must, which also bounds the trial division; p exactly divides d and no t > 1
     dividing d/p is 1 mod p, so a subgroup of order d has one Sylow
     p-subgroup, normal in it, and lies in a conjugate of N_G(P). Its order
     |G| / |P^G| is read off the conjugates of P, found by a breadth-first
@@ -571,10 +568,12 @@ def validate_semiregular_bound(cert: SemiregularBoundCertificate, degree: int) -
     for d, p, x in cert.exclusions:
         if not is_prime(p) or cert.order % p or cert.order % (p * p) == 0:
             raise WitnessError(f"{p} is no prime exactly dividing |G| = {cert.order}")
+        if d < 1 or cert.order % d:
+            raise WitnessError(f"{d} does not divide |G| = {cert.order}")
         m, r = divmod(d, p)
-        if d < 1 or r or m % p == 0:
+        if r or m % p == 0:
             raise WitnessError(f"{p} does not exactly divide {d}")
-        t = next((t for t in range(2, m + 1) if m % t == 0 and t % p == 1), None)
+        t = next((t for t in range(p + 1, m + 1, p) if m % t == 0), None)
         if t is not None:
             raise WitnessError(f"a group of order {d} may have {t} Sylow {p}-subgroups, "
                                f"so none need be normal")

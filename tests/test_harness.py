@@ -543,6 +543,9 @@ def test_cli_verify_cert_semiregular_bound(tmp_path, capsys):
         "does not lie in G": {"element": five_cycle},
         "has order 2, not 5": {"element": involution},
         "may have 6 Sylow 5-subgroups": {"excluded_order": 30},
+        # 5 times a prime near 10^12: rejected before the Sylow arithmetic,
+        # whose trial division would run for hours
+        "5000000000195 does not divide |G| = 25920": {"excluded_order": 5000000000195},
     }
     path = tmp_path / "bound.json"
     for message, change in tampered.items():

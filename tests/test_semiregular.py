@@ -397,7 +397,8 @@ def test_max_semiregular_sylow_exclusions_match_the_oracle(m, H_cycles, degree, 
     assert G.degree == degree
     r = max_semiregular_order(G)
     assert r.optimal and r.witness.order == order == exhaustive_max_semiregular(G)
-    assert r.excluded == excluded
+    assert {d: p for d, (p, _) in r.excluded.items()} == excluded
+    assert all(x.order() == p for p, x in r.excluded.values())
     validate_semiregular(r.witness, degree)
 
 
@@ -408,7 +409,8 @@ def test_max_semiregular_psp43_40_closes_at_the_sylow_bound():
     G = catalog_load("PSp4(3):40").group
     r = max_semiregular_order(G, b.elements, b.nodes)
     assert r.optimal and r.witness.order == 20 and r.witness.method == "backtrack"
-    assert r.excluded == {40: 5}
+    assert list(r.excluded) == [40] and r.excluded[40][0] == 5
+    assert r.excluded[40][1].order() == 5
     assert r.nodes < 1000
     digest = hashlib.sha256(json.dumps(r.witness.to_json_dict()).encode()).hexdigest()
     assert digest.startswith("b22c9b3f6801")
@@ -437,8 +439,7 @@ def test_psp43_40_semiregular_bound_certificate_regenerates():
     path = Path(__file__).resolve().parent / "data" / "psp43_40_semiregular_bound.json"
     b = Budgets()
     G = catalog_load("PSp4(3):40").group
-    cert = semiregular_bound_certificate(G, max_semiregular_order(G, b.elements, b.nodes),
-                                         b.elements)
+    cert = semiregular_bound_certificate(G, max_semiregular_order(G, b.elements, b.nodes))
     assert json.dumps(cert.to_json_dict(), sort_keys=True) + "\n" == path.read_text()
     validate_semiregular_bound(cert, G.degree)
 
