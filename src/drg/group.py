@@ -36,15 +36,18 @@ class _ChainLevel:
     ``added`` holds the strong generators filed at this level (those moving
     this base point while fixing all earlier ones); the generating set of the
     level-i stabilizer is the union of ``added`` over levels >= i.
-    ``transversal[x]`` is a permutation u with base^u = x.
+    ``transversal[x]`` is a permutation u with base^u = x, and
+    ``inverses[x]`` the image tuple of u^-1, stored once with the
+    transversal for the sifts.
     """
 
-    __slots__ = ("base", "added", "transversal")
+    __slots__ = ("base", "added", "transversal", "inverses")
 
     def __init__(self, base: int):
         self.base = base
         self.added: list[Permutation] = []
         self.transversal: dict[int, Permutation] = {}
+        self.inverses: dict[int, tuple[int, ...]] = {}
 
 
 def _transversal(x: int, gens, degree: int) -> dict[int, Permutation]:
@@ -113,16 +116,16 @@ class PermGroup:
         self._chain.append(level)
         return len(self._chain) - 1
 
-    def _sift_residue(self, p: Permutation, start: int = 0) -> Permutation:
-        """Strip transversal factors from p; identity iff p is in the span."""
+    def _sift_residue(self, p: tuple[int, ...], start: int = 0) -> tuple[int, ...]:
+        """Strip transversal factors from the image tuple p; identity iff p is in the span."""
         for level in self._chain[start:]:
-            x = p.images[level.base]
+            x = p[level.base]
             if x == level.base:
                 continue
-            u = level.transversal.get(x)
-            if u is None:
+            u_inv = level.inverses.get(x)
+            if u_inv is None:
                 return p
-            p = compose(p, inverse(u))
+            p = tuple(map(u_inv.__getitem__, p))
         return p
 
     def _verify_level(self, i: int) -> int | None:
@@ -132,17 +135,18 @@ class PermGroup:
         None if the level is complete.
         """
         level = self._chain[i]
-        gens = self._strong_gens_at(i)
+        gens = [g.images for g in self._strong_gens_at(i)]
+        identity = tuple(range(self.degree))
         for x in sorted(level.transversal):
-            ux = level.transversal[x]
+            ux = level.transversal[x].images
             for g in gens:
-                y = g.images[x]
-                schreier = compose(compose(ux, g), inverse(level.transversal[y]))
-                if schreier.is_identity():
+                u_inv = level.inverses[g[x]]
+                schreier = tuple(map(u_inv.__getitem__, map(g.__getitem__, ux)))
+                if schreier == identity:
                     continue
                 residue = self._sift_residue(schreier, i + 1)
-                if not residue.is_identity():
-                    return self._file_gen(residue)
+                if residue != identity:
+                    return self._file_gen(Permutation._trusted(residue))
         return None
 
     def _build_chain(self) -> None:
@@ -156,6 +160,7 @@ class PermGroup:
         while i >= 0:
             level = self._chain[i]
             level.transversal = _transversal(level.base, self._strong_gens_at(i), self.degree)
+            level.inverses = {x: inverse(u).images for x, u in level.transversal.items()}
             filed_at = self._verify_level(i)
             if filed_at is None:
                 i -= 1
@@ -175,7 +180,7 @@ class PermGroup:
         if p.degree != self.degree:
             raise PermError("degree mismatch in membership test")
         self._build_chain()
-        return self._sift_residue(p).is_identity()
+        return self._sift_residue(p.images) == tuple(range(self.degree))
 
     def __contains__(self, p: Permutation) -> bool:
         return self.membership(p)
@@ -214,8 +219,12 @@ class PermGroup:
         yield from _times_each(walk, transversal)
 
     def elements(self, budget: int = DEFAULT_ELEMENT_BUDGET):
-        """Each group element exactly once, lazily, as a Permutation."""
-        return map(Permutation, self.iter_images(budget))
+        """Each group element exactly once, lazily, as a Permutation.
+
+        The walk's tuples are products of transversal elements, so they are
+        wrapped unchecked.
+        """
+        return map(Permutation._trusted, self.iter_images(budget))
 
     def element_images(self, budget: int = DEFAULT_ELEMENT_BUDGET) -> list[tuple[int, ...]]:
         """All elements as image tuples, sorted lexicographically."""
@@ -311,21 +320,22 @@ def close_subgroup(gens, degree: int, cap: int) -> list[Permutation] | None:
     for g in gen_images:
         if len(g) != degree:
             raise PermError(f"generator degree {len(g)} != subgroup degree {degree}")
+    gen_at = [g.__getitem__ for g in gen_images]
     identity = tuple(range(degree))
     elems = {identity}
     frontier = [identity]
     while frontier:
         new_frontier = []
         for t in frontier:
-            for g in gen_images:
-                prod = tuple(g[i] for i in t)
+            for g_at in gen_at:
+                prod = tuple(map(g_at, t))
                 if prod not in elems:
                     if len(elems) >= cap:
                         return None
                     elems.add(prod)
                     new_frontier.append(prod)
         frontier = new_frontier
-    return [Permutation(t) for t in sorted(elems)]
+    return [Permutation._trusted(t) for t in sorted(elems)]
 
 
 def reduce_generators(gens: list[Permutation], degree: int, target_order: int) -> list[Permutation]:
@@ -335,17 +345,19 @@ def reduce_generators(gens: list[Permutation], degree: int, target_order: int) -
     ``target_order``; raises if it cannot.
     """
     chosen: list[Permutation] = []
+    spanned = None  # the group of ``chosen``, one chain build per kept generator
     for g in gens:
         if g.is_identity():
             continue
-        if chosen and PermGroup(chosen, degree).membership(g):
+        if spanned is not None and spanned.membership(g):
             continue
         chosen.append(g)
-        if PermGroup(chosen, degree).order() == target_order:
+        spanned = PermGroup(chosen, degree)
+        if spanned.order() == target_order:
             return chosen
     if target_order == 1:
         return [Permutation.identity(degree)]
-    raise PermError(f"generators span order {PermGroup(chosen, degree).order() if chosen else 1},"
+    raise PermError(f"generators span order {spanned.order() if spanned else 1},"
                     f" expected {target_order}")
 
 

@@ -16,12 +16,15 @@ Each exhaustive search stops at a proven ceiling, never below the answer:
   Algebraic Approaches*, 2016). The translates hC, h in G, cover each vertex
   |C| times, and each meets a coclique in at most one vertex.
 - a semiregular subgroup has order at most n: its orbits are regular, so its
-  order divides n.
+  order divides n. The lattice walk closes only joins that can fit under
+  that ceiling: by Lagrange the join of H and <g> has order a multiple of
+  lcm(|H|, ord g), so a join with lcm(|H|, ord g) > n is skipped unclosed.
+  The skip uses orders alone, never semiregularity.
 """
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, lcm
 from operator import eq
 
 from .group import PermGroup, close_subgroup
@@ -118,8 +121,8 @@ def exhaustive_max_coclique(G: PermGroup) -> int:
     return len(_bron_kerbosch(co_adj, order, ceiling=order // len(clique)))
 
 
-def _cyclic_generators(images: list[tuple[int, ...]]) -> list[Permutation]:
-    """The least generator of each non-trivial cyclic subgroup, from sorted images."""
+def _cyclic_generators(images: list[tuple[int, ...]]) -> list[tuple[Permutation, int]]:
+    """(least generator, order) of each non-trivial cyclic subgroup, from sorted images."""
     identity = images[0]
     covered = set()
     out = []
@@ -131,7 +134,7 @@ def _cyclic_generators(images: list[tuple[int, ...]]) -> list[Permutation]:
             powers.append(tuple(g[i] for i in powers[-1]))
         order = len(powers)
         covered.update(powers[k - 1] for k in range(1, order) if gcd(k, order) == 1)
-        out.append(Permutation(g))
+        out.append((Permutation(g), order))
     return out
 
 
@@ -140,33 +143,35 @@ def exhaustive_max_semiregular(G: PermGroup) -> int:
 
     Every subgroup of order at most the degree is visited via join closure
     with one cyclic subgroup at a time, through its least generator (the join
-    depends only on the cyclic subgroup). Each newly closed subgroup is tested
-    for semiregularity from the definition; the walk stops at one of order n,
-    the degree, since a semiregular subgroup's orbits are regular and so its
-    order divides n.
+    depends only on the cyclic subgroup), closed from the generators of the
+    path that reached the subgroup. A join whose order Lagrange already puts
+    above n, lcm(|H|, ord g) > n, is skipped: its closure would exceed the
+    cap. Each newly closed subgroup is tested for semiregularity from the
+    definition; the walk stops at one of order n, the degree, since a
+    semiregular subgroup's orbits are regular and so its order divides n.
     """
     n = G.degree
     cyclic_gens = _cyclic_generators(G.element_images())
     identity = tuple(range(n))
     trivial = frozenset({identity})
     seen = {trivial}
-    frontier = [trivial]
+    frontier = [(trivial, [])]
     best = 1
     while frontier:
         new = []
-        for H in frontier:
-            gens = [Permutation(t) for t in H if t != identity]
-            for g in cyclic_gens:
-                if g.images in H:
+        for H, gens in frontier:
+            for g, order in cyclic_gens:
+                if g.images in H or lcm(len(H), order) > n:
                     continue
-                closed = close_subgroup(gens + [g], n, n)
+                path = gens + [g]
+                closed = close_subgroup(path, n, n)
                 if closed is None:
                     continue
                 key = frozenset(p.images for p in closed)
                 if key in seen:
                     continue
                 seen.add(key)
-                new.append(key)
+                new.append((key, path))
                 if len(key) > best and all(
                         t == identity or all(i != j for i, j in enumerate(t)) for t in key):
                     best = len(key)

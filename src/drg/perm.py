@@ -3,6 +3,16 @@
 The composition convention is fixed globally as a right action: in
 ``compose(p, q)`` the permutation ``p`` is applied first, then ``q``,
 so ``compose(p, q).images[i] == q.images[p.images[i]]``.
+
+Invariant: the images of every ``Permutation`` are a bijection of
+{0, ..., n-1}, n >= 1. Images from outside (a list, a JSON certificate or
+catalog file, a cycle string, ``from_cycles``, a map built by a formula) go
+through the checking constructor ``Permutation(images)``, which raises
+PermError on anything else. Products and inverses of bijections are
+bijections, so ``compose``, ``inverse``, ``identity`` and ``**`` build their
+results with the unchecked ``Permutation._trusted``, as do the stabilizer
+chain, its element walk and ``group.close_subgroup`` for the products they
+form; it must only ever receive images composed from existing permutations.
 """
 
 from __future__ import annotations
@@ -30,6 +40,13 @@ class Permutation:
             raise PermError(f"not a permutation of 0..{n - 1}: {images!r}")
         object.__setattr__(self, "images", images)
 
+    @staticmethod
+    def _trusted(images: tuple[int, ...]) -> "Permutation":
+        """Wrap an image tuple known to be a bijection, without checking it."""
+        p = object.__new__(Permutation)
+        object.__setattr__(p, "images", images)
+        return p
+
     def __setattr__(self, name, value):
         raise AttributeError("Permutation is immutable")
 
@@ -39,7 +56,9 @@ class Permutation:
 
     @staticmethod
     def identity(n: int) -> "Permutation":
-        return Permutation(range(n))
+        if n < 1:
+            raise PermError("degree must be at least 1")
+        return Permutation._trusted(tuple(range(n)))
 
     @staticmethod
     def from_cycles(cycles, degree: int) -> "Permutation":
@@ -89,7 +108,8 @@ class Permutation:
         return f"Permutation({cycle_string(self)!r}, degree={self.degree})"
 
     def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.images))
+        images = self.images
+        return all(map(eq, images, range(len(images))))
 
     def order(self) -> int:
         return lcm(*cycle_type(self)) if self.degree else 1
@@ -117,15 +137,14 @@ def compose(p: Permutation, q: Permutation) -> Permutation:
     """Apply p first, then q."""
     if p.degree != q.degree:
         raise PermError(f"degree mismatch: {p.degree} vs {q.degree}")
-    qi = q.images
-    return Permutation(qi[i] for i in p.images)
+    return Permutation._trusted(tuple(map(q.images.__getitem__, p.images)))
 
 
 def inverse(p: Permutation) -> Permutation:
     inv = [0] * p.degree
     for i, j in enumerate(p.images):
         inv[j] = i
-    return Permutation(inv)
+    return Permutation._trusted(tuple(inv))
 
 
 def cycle_type(p: Permutation) -> tuple[int, ...]:

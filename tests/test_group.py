@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from drg.catalog import catalog_load
+from drg.catalog import catalog_index, catalog_load
 from drg.group import (
     BlockSystem,
     BudgetError,
@@ -12,9 +12,10 @@ from drg.group import (
     close_subgroup,
     coset_action,
     group_from_generators,
+    reduce_generators,
     trivial_group,
 )
-from drg.perm import Permutation, PermError, compose, parse_cycles
+from drg.perm import Permutation, PermError, compose, inverse, parse_cycles
 
 
 def cyclic(n):
@@ -297,3 +298,56 @@ def test_group_from_generators_errors():
         group_from_generators([])
     with pytest.raises(PermError):
         group_from_generators([Permutation.identity(3), Permutation.identity(4)])
+
+
+def test_stored_transversal_inverses_undo_the_transversal():
+    # the sifts compose with these stored tuples instead of inverting each step
+    for rec in catalog_index():
+        G = catalog_load(rec["name"]).group
+        G.order()
+        for level in G._chain:
+            assert level.inverses.keys() == level.transversal.keys()
+            for x, u in level.transversal.items():
+                u_inv = Permutation(level.inverses[x])  # the checking constructor
+                assert u_inv == inverse(u), rec["name"]
+                assert compose(u, u_inv).is_identity() and compose(u_inv, u).is_identity()
+
+
+def _reduce_generators_reference(gens, degree, target_order):
+    """The greedy reduction built from scratch at each step: same choices, more chains."""
+    chosen = []
+    for g in gens:
+        if g.is_identity() or (chosen and PermGroup(chosen, degree).membership(g)):
+            continue
+        chosen.append(g)
+        if PermGroup(chosen, degree).order() == target_order:
+            return chosen
+    return [Permutation.identity(degree)]
+
+
+def test_reduce_generators_builds_one_chain_per_kept_generator(monkeypatch):
+    psu = catalog_load("PSU3(3):36").group
+    psp = catalog_load("PSp4(3):40").group
+    rng = random.Random(5)
+    s5 = list(sym(5).elements())
+    cases = [(list(psp.generators), 40, psp.order()),  # 9 generators, 5 kept
+             (rng.sample(s5, 12), 5, 120), ([Permutation.identity(4)] * 3, 4, 1)]
+    expected = [_reduce_generators_reference(*case) for case in cases]
+    psu.order()
+    built = []  # each group whose chain gets built
+    build = PermGroup._build_chain
+
+    def counted(group):
+        if group._chain is None:
+            built.append(group)
+        return build(group)
+
+    monkeypatch.setattr(PermGroup, "_build_chain", counted)
+    stabilizer_gens = psu.point_stabilizer_gens(0)
+    assert len(built) == len(stabilizer_gens) == 2
+    for case, want in zip(cases, expected):
+        built.clear()
+        got = reduce_generators(*case)
+        assert got == want
+        assert len(built) == (0 if want[0].is_identity() else len(got))
+    assert len(expected[0]) == 5

@@ -265,6 +265,30 @@ def test_oracles_against_naive_enumeration():
         assert exhaustive_max_semiregular(catalog_load(name).group) == order, name
 
 
+def test_semiregular_oracle_matches_the_benchmark_reference():
+    # read-only: the answers bench/reference.json records; the oracle's Lagrange
+    # skip must never drop a subgroup of order exactly the degree (C6:6, PSL2(7):8)
+    reference = json.loads(
+        (Path(__file__).resolve().parents[1] / "bench" / "reference.json").read_text())
+    oracle_rows = reference["verify-all"]["oracle-equivalence"]["answer"]
+    analyzed = reference["analyze-catalog"]
+    pinned = 0
+    for rec in catalog_index():
+        if rec["order"] > 720:
+            continue
+        name = rec["name"]
+        if name in oracle_rows:
+            expected = oracle_rows[name]["max_semiregular"]
+        else:
+            # above the benchmark's oracle cut: analyze's maximum, closed or the degree
+            row = analyzed[name]
+            assert row["max_semiregular_closed"] or row["max_semiregular_order"] == rec["degree"]
+            expected = row["max_semiregular_order"]
+        assert exhaustive_max_semiregular(catalog_load(name).group) == expected, name
+        pinned += 1
+    assert pinned == 27 and len(oracle_rows) == 24
+
+
 def test_oracle_adjacency_rows_match_definition():
     for rec in catalog_index():
         if rec["order"] > 60:

@@ -1,7 +1,10 @@
+import json
 import random
 
 import pytest
 
+from drg.catalog import IntegrityError, load_group_file
+from drg.cli import main as cli_main
 from drg.perm import (
     Permutation,
     PermError,
@@ -100,3 +103,47 @@ def test_parse_roundtrip():
 def test_parse_one_based():
     p = parse_cycles("(1,2,3)", 3, one_based=True)
     assert p == parse_cycles("(0,1,2)", 3)
+
+
+# -- products are trusted, images from outside are checked ----------------------
+
+
+def test_images_from_outside_must_be_bijections(tmp_path, capsys):
+    with pytest.raises(PermError):
+        Permutation([0, 0, 2])
+    for text in ("(0,1)(1,2)", "(0,1,0)"):  # a point repeated across or within cycles
+        with pytest.raises(PermError):
+            parse_cycles(text, 3)
+    # a group file whose generator is no bijection: an integrity error, exit 3
+    group_file = tmp_path / "bad_group.json"
+    group_file.write_text(json.dumps({"name": "bad", "degree": 3, "generators": [[1, 1, 0]]}))
+    with pytest.raises(IntegrityError):
+        load_group_file(group_file)
+    assert cli_main(["analyze", str(group_file)]) == 3
+    # a clique certificate with a vertex that is no bijection: a bad file, exit 3
+    cert_file = tmp_path / "bad_clique.json"
+    cert_file.write_text(json.dumps({"type": "clique", "degree": 3,
+                                     "vertices": [[0, 1, 2], [1, 2, 2]]}))
+    assert cli_main(["verify-cert", str(cert_file)]) == 3
+    assert "bad certificate file" in capsys.readouterr().err
+
+
+def test_products_inverses_and_powers_match_their_formulas():
+    # compose, inverse, identity and ** skip the bijection check; their results
+    # must still be the reference maps, and bijections
+    rng = random.Random(17)
+    for n in range(1, 13):
+        for _ in range(25):
+            p, q = rand_perm(rng, n), rand_perm(rng, n)
+            k = rng.randrange(-8, 9)
+            pq, p_inv, p_k = compose(p, q), inverse(p), p ** k
+            assert pq.images == tuple(q.images[p.images[i]] for i in range(n))
+            assert all(p_inv.images[p.images[i]] == i for i in range(n))
+            step = p.images if k >= 0 else p_inv.images
+            power = list(range(n))
+            for _ in range(abs(k)):
+                power = [step[x] for x in power]
+            assert p_k.images == tuple(power)
+            for r in (pq, p_inv, p_k, Permutation.identity(n)):
+                assert sorted(r.images) == list(range(n))
+                assert r.is_identity() == (r.images == tuple(range(n)))
