@@ -8,9 +8,6 @@ than a negative result.
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
 import time
 from collections.abc import Iterable
 from dataclasses import asdict, dataclass
@@ -197,15 +194,19 @@ _AUDIT_COCLIQUE_CAP = 720
 
 
 def _stabilizer_coclique(G: PermGroup) -> CocliqueCertificate:
-    """An intersecting family from the stabilizer of 0, capped for audit size.
+    """An intersecting family from the stabilizer of G's first base point,
+    capped for audit size: min(|G|/n, cap) members, since every point
+    stabilizer of a transitive group has order |G|/n.
 
-    The stabilizer's order is known from its chain, so enumeration needs no
-    budget; a prefix of a coclique is still a coclique. The caller
-    validates it once, with membership, in ``clique_coclique_audit``.
+    Any two members agree at the base point. They are streamed lazily off
+    the levels of G's chain below the base, as products of transversal
+    elements, so they are wrapped unchecked; a prefix of a coclique is still
+    a coclique. The caller validates it once, with membership, in
+    ``clique_coclique_audit``.
     """
-    stab = PermGroup(G.point_stabilizer_gens(0), G.degree)
-    members = stab.element_images(stab.order())[:_AUDIT_COCLIQUE_CAP]
-    return CocliqueCertificate([Permutation(x) for x in members])
+    walk = G.base_cosets(G.order())[1]
+    return CocliqueCertificate(list(map(Permutation._trusted,
+                                        islice(walk, _AUDIT_COCLIQUE_CAP))))
 
 
 # -- the named checks -----------------------------------------------------------
@@ -725,33 +726,17 @@ def analyze(source: str | Path | GroupFile, budgets: Budgets | None = None,
     return report
 
 
-def corpus_scan(directory: str | Path, budgets: Budgets | None = None,
-                use_cache: bool = True) -> dict:
-    """Analyze every .json group file in a directory; cached per file, version and budgets."""
+def corpus_scan(directory: str | Path, budgets: Budgets | None = None) -> dict:
+    """Analyze every .json group file in a directory, in name order.
+
+    Reads the directory and writes nothing. ``index.json`` and dot-files are
+    skipped, so the dot-file row cache that earlier builds wrote there
+    is not read as a group file.
+    """
     budgets = budgets or Budgets()
-    directory = Path(directory)
-    cache_path = directory / ".drg_cache.json"
-    cache = {}
-    if use_cache:
-        # the cache is best effort: a missing, unreadable or malformed one is empty
-        try:
-            loaded = json.loads(cache_path.read_text())
-        except (OSError, ValueError):
-            loaded = {}
-        if isinstance(loaded, dict):
-            cache = loaded
-    budget_key = json.dumps(budgets.to_json_dict(), sort_keys=True)
     rows = []
-    for path in sorted(directory.glob("*.json")):
+    for path in sorted(Path(directory).glob("*.json")):
         if path.name == "index.json" or path.name.startswith("."):
-            continue
-        try:
-            digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        except OSError:  # a directory, say: analyze reports it as an integrity failure
-            digest = "unreadable"
-        key = f"{path.name}:{digest}:{__version__}:{budget_key}"
-        if key in cache:
-            rows.append(cache[key])
             continue
         try:
             row = analyze(path, budgets)
@@ -760,15 +745,5 @@ def corpus_scan(directory: str | Path, budgets: Budgets | None = None,
         except (IntegrityError, BudgetError) as exc:
             row = {"file": path.name, "integrity": "error", "error": str(exc)}
         rows.append(row)
-        cache[key] = row
-    if use_cache:
-        # a rename is atomic, so an interrupted scan never leaves a truncated cache;
-        # a directory that cannot be written loses only the cache, not the scan
-        tmp_path = cache_path.with_name(f"{cache_path.name}.{os.getpid()}.tmp")
-        try:
-            tmp_path.write_text(json.dumps(cache, indent=1, sort_keys=True))
-            os.replace(tmp_path, cache_path)
-        except OSError:
-            tmp_path.unlink(missing_ok=True)
     failures = sum(1 for row in rows if row.get("integrity") != "ok")
     return {"rows": rows, "integrity_failures": failures}

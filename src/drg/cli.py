@@ -120,7 +120,7 @@ def cmd_corpus(args) -> int:
     if not Path(args.directory).is_dir():
         print(f"error: not a directory: {args.directory}", file=sys.stderr)
         return 3
-    result = corpus_scan(args.directory, _budgets_from(args), use_cache=not args.no_cache)
+    result = corpus_scan(args.directory, _budgets_from(args))
     if args.json:
         print(json.dumps(result, indent=2, sort_keys=True))
     else:
@@ -254,7 +254,6 @@ def main(argv=None) -> int:
     p = sub.add_parser("corpus", help="scan a directory of group files")
     p.add_argument("directory")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--no-cache", action="store_true")
     _add_budget_flags(p)
     p.set_defaults(fn=cmd_corpus)
 

@@ -17,9 +17,11 @@ Each exhaustive search stops at a proven ceiling, never below the answer:
   |C| times, and each meets a coclique in at most one vertex.
 - a semiregular subgroup has order at most n: its orbits are regular, so its
   order divides n. The lattice walk closes only joins that can fit under
-  that ceiling: by Lagrange the join of H and <g> has order a multiple of
-  lcm(|H|, ord g), so a join with lcm(|H|, ord g) > n is skipped unclosed.
-  The skip uses orders alone, never semiregularity.
+  that ceiling: for g outside H the join of H and <g> strictly contains H,
+  so by Lagrange its order is a multiple of lcm(|H|, ord g) and a proper
+  multiple of |H|, at least max(lcm(|H|, ord g), 2|H|); a join with that
+  above n is skipped unclosed. The skip uses orders alone, never
+  semiregularity.
 """
 
 from __future__ import annotations
@@ -145,8 +147,10 @@ def exhaustive_max_semiregular(G: PermGroup) -> int:
     with one cyclic subgroup at a time, through its least generator (the join
     depends only on the cyclic subgroup), closed from the generators of the
     path that reached the subgroup. A join whose order Lagrange already puts
-    above n, lcm(|H|, ord g) > n, is skipped: its closure would exceed the
-    cap. Each newly closed subgroup is tested for semiregularity from the
+    above n is skipped, since its closure would exceed the cap: with g
+    outside H the join's order is a multiple of lcm(|H|, ord g) and of |H|
+    exceeding |H|, so max(lcm(|H|, ord g), 2|H|) > n rules it out. Each
+    newly closed subgroup is tested for semiregularity from the
     definition; the walk stops at one of order n, the degree, since a
     semiregular subgroup's orbits are regular and so its order divides n.
     """
@@ -161,7 +165,7 @@ def exhaustive_max_semiregular(G: PermGroup) -> int:
         new = []
         for H, gens in frontier:
             for g, order in cyclic_gens:
-                if g.images in H or lcm(len(H), order) > n:
+                if g.images in H or max(lcm(len(H), order), 2 * len(H)) > n:
                     continue
                 path = gens + [g]
                 closed = close_subgroup(path, n, n)

@@ -120,8 +120,7 @@ def is_semiregular_subgroup(H_gens, degree: int) -> bool:
     return degree % H.order() == 0 and sum(map(has_fixed_point, H.iter_images(degree))) == 1
 
 
-def validate_semiregular(witness: SemiregularWitness, degree: int,
-                         subgroup_budget: int = DEFAULT_SUBGROUP_BUDGET) -> None:
+def validate_semiregular(witness: SemiregularWitness, degree: int) -> None:
     """Independent re-verification of a witness, from the definition.
 
     A witness needs at least one generator: without one, nothing bounds the
@@ -132,7 +131,7 @@ def validate_semiregular(witness: SemiregularWitness, degree: int,
     for g in witness.generators:
         if g.degree != degree:
             raise WitnessError(f"generator {g!r} has degree {g.degree}, not {degree}")
-    elems = close_subgroup(witness.generators, degree, subgroup_budget)
+    elems = close_subgroup(witness.generators, degree, DEFAULT_SUBGROUP_BUDGET)
     if elems is None:
         raise WitnessError("witness subgroup exceeds the verification budget")
     if len(elems) != witness.order:

