@@ -497,11 +497,10 @@ def _check_psp43(budgets: Budgets):
     if not primitive:
         return "fail", {}, None, "degree-36 action is not primitive"
     # uncached: a cached census would keep this one-off group alive after the check
-    _, semi_elems, orders = element_census.__wrapped__(G36, budgets.elements)
-    witness = next((x for x, m in zip(semi_elems, orders) if m == 9), None)
-    if witness is None:
+    census = element_census.__wrapped__(G36, budgets.elements)
+    if 9 not in census.by_order:
         return "fail", {}, None, "no order-9 semiregular element found"
-    w = SemiregularWitness("PSp4(3):36", [Permutation(witness)], 9, "cyclic-scan")
+    w = SemiregularWitness("PSp4(3):36", [Permutation(census.by_order[9][1])], 9, "cyclic-scan")
     validate_semiregular(w, 36)
     shipped = catalog_load("PSp4(3):36").subgroups["semiregular9"]
     shipped_w = SemiregularWitness("PSp4(3):36", shipped, 9, "catalog")
@@ -684,7 +683,7 @@ def analyze(source: str | Path | GroupFile, budgets: Budgets | None = None,
     report["stabilizer_order"] = G.stabilizer_order()
 
     if G.order() <= budgets.elements:
-        report["derangement_count"] = element_census(G, budgets.elements)[0]
+        report["derangement_count"] = element_census(G, budgets.elements).derangements
         rep = is_elusive(G, budgets.elements)
         report["elusive"] = rep.elusive
         if rep.witness is not None:

@@ -55,19 +55,22 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
-def _add_budget_flags(p) -> None:
-    # the defaults are Budgets' own, so every value given reaches the searches
+def _add_budget_flags(p, degree: bool = False) -> None:
+    # the defaults are Budgets' own, so every value given reaches the searches;
+    # only the checks behind verify build coset actions and product domains
     b = Budgets()
     p.add_argument("--budget-elems", type=_positive_int, default=b.elements,
                    help="element enumeration budget")
     p.add_argument("--budget-nodes", type=_positive_int, default=b.nodes,
                    help="search node budget, also semiregular extension attempts")
-    p.add_argument("--budget-degree", type=_positive_int, default=b.degree,
-                   help="coset action degree budget")
+    if degree:
+        p.add_argument("--budget-degree", type=_positive_int, default=b.degree,
+                       help="coset action and product domain degree budget")
 
 
 def _budgets_from(args) -> Budgets:
-    return Budgets(args.budget_elems, args.budget_nodes, args.budget_degree)
+    return Budgets(args.budget_elems, args.budget_nodes,
+                   getattr(args, "budget_degree", Budgets.degree))
 
 
 def cmd_analyze(args) -> int:
@@ -248,7 +251,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("verify", help="run a named check (or: all)")
     p.add_argument("check")
     p.add_argument("--json", action="store_true", help="print full reports")
-    _add_budget_flags(p)
+    _add_budget_flags(p, degree=True)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("corpus", help="scan a directory of group files")

@@ -50,7 +50,7 @@ class _ChainLevel:
         self.inverses: dict[int, tuple[int, ...]] = {}
 
 
-def _transversal(x: int, gens, degree: int) -> dict[int, Permutation]:
+def orbit_transversal(x: int, gens, degree: int) -> dict[int, Permutation]:
     """The orbit of x under gens, breadth first: point y -> u with x^u = y.
 
     Keys come in discovery order, the generators tried in their given order.
@@ -159,7 +159,7 @@ class PermGroup:
         i = len(self._chain) - 1
         while i >= 0:
             level = self._chain[i]
-            level.transversal = _transversal(level.base, self._strong_gens_at(i), self.degree)
+            level.transversal = orbit_transversal(level.base, self._strong_gens_at(i), self.degree)
             level.inverses = {x: inverse(u).images for x, u in level.transversal.items()}
             filed_at = self._verify_level(i)
             if filed_at is None:
@@ -206,6 +206,15 @@ class PermGroup:
         for transversal in reversed(transversals[1:]):
             walk = _times_each(walk, transversal)
         return transversals[0], walk
+
+    def base_stabilizer(self) -> tuple[int, list[Permutation]]:
+        """(the first base point b0, generators of its stabilizer G_{b0}).
+
+        The generators are the strong generators filed below level 0. G must
+        move some point.
+        """
+        self._build_chain()
+        return self._chain[0].base, self._strong_gens_at(1)
 
     def iter_images(self, budget: int = DEFAULT_ELEMENT_BUDGET):
         """Yield each element's image tuple exactly once, streamed off the chain.
@@ -282,7 +291,7 @@ class PermGroup:
         """Generators of the stabilizer of x, via Schreier's lemma."""
         if not 0 <= x < self.degree:
             raise PermError(f"point {x} out of range")
-        transversal = _transversal(x, self.generators, self.degree)
+        transversal = orbit_transversal(x, self.generators, self.degree)
         target = self.order() // len(transversal)
         schreier = []
         seen = set()

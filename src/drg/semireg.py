@@ -3,12 +3,17 @@
 A subgroup is semiregular when its only element with a fixed point is the
 identity; its order then divides the degree, which is what keeps the
 subgroup searches here small. Elusiveness and the subgroup search read one
-element census of the group: its derangement count, its semiregular
-elements and their orders. The census tests fixed points a coset at a time:
-an element u∘p, u in the level-0 transversal and p in the base point's
-stabilizer, fixes i exactly when u[p[i]] == i, so one OR of n bitsets gives
-the derangements of the coset {u∘p : u}, and only those are built. Each gets
-one cycle walk, which finds its order when all its cycles share a length.
+element census of the group: its derangement count, and the number and the
+least element of its semiregular elements of each order. Cycle type is a
+class function, so the census reads one coset D_r = {x : x[a] = r} per
+suborbit of the stabilizer G_a of the least moved point a, weighted by the
+suborbit's size: conjugation by G_a maps D_r onto D_j for every j in r's
+suborbit. With r the least point of its suborbit, the least element of
+each order lies in some D_r, so the witnesses are those of a scan of all of
+G. The census tests fixed points many elements at a time: u∘q fixes i
+exactly when u[q[i]] == i, so one OR of n bitsets gives the derangements
+among the cosets' elements u_r∘q, and only those are built. Each gets one
+cycle walk, which finds its order when all its cycles share a length.
 
 The subgroup search first reads the census orders: the best cyclic subgroup
 and the prime-part bound below come from them alone, and when they meet, as
@@ -57,6 +62,7 @@ from .group import (
     PermGroup,
     block_image,
     close_subgroup,
+    orbit_transversal,
     reduce_generators,
 )
 from .numth import factorize, is_prime
@@ -173,51 +179,141 @@ class ElusivenessReport:
         }
 
 
+@dataclass(frozen=True)
+class Suborbit:
+    """The semiregular elements of one coset D_r = {x in G : x[a] = r}.
+
+    ``elements`` holds the non-identity semiregular image tuples of D_r, in
+    walk order, and ``orders[i]`` the order of ``elements[i]``.
+    ``conjugators`` holds one pair (h, h^-1) of image tuples per point j of
+    r's G_a-orbit, h in G_a with h[r] == j, r's own pair first.
+    """
+    elements: tuple[tuple[int, ...], ...]
+    orders: tuple[int, ...]
+    conjugators: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+
+
+@dataclass(frozen=True)
+class ElementCensus:
+    """G's derangements and semiregular elements, read off one coset per suborbit.
+
+    ``by_order[m]`` is (the number of non-identity semiregular elements of
+    order m, the lexicographically least one), in increasing m.
+    """
+    derangements: int
+    by_order: dict[int, tuple[int, tuple[int, ...]]]
+    suborbits: tuple[Suborbit, ...]
+
+    @property
+    def semiregular_count(self) -> int:
+        return sum(count for count, _ in self.by_order.values())
+
+    def semiregular_images(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+        """(every non-identity semiregular image, sorted; the order of each).
+
+        D_j is h D_r h^-1 for the conjugator h of j, so each suborbit's
+        elements are conjugated once per point of it: y[h[i]] = h[x[i]].
+        """
+        images, orders = [], []
+        for sub in self.suborbits:
+            for h, h_inv in sub.conjugators:
+                images.extend(tuple(map(h.__getitem__, map(x.__getitem__, h_inv)))
+                              for x in sub.elements)
+                orders.extend(sub.orders)
+        # sorted by index: comparing (x, m) pairs would cost a tuple per element
+        by_image = sorted(range(len(images)), key=images.__getitem__)
+        return tuple(map(images.__getitem__, by_image)), tuple(map(orders.__getitem__, by_image))
+
+
 @lru_cache(maxsize=1)
-def element_census(G: PermGroup, element_budget: int) -> tuple[
-        int, tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """(derangement count, semiregular images, their orders).
+def element_census(G: PermGroup, element_budget: int) -> ElementCensus:
+    """The census of G: derangements, semiregular counts and least elements.
 
-    The images are those of the non-identity semiregular elements, sorted,
-    and ``orders[i]`` is the order of ``images[i]``, the one cycle length
-    the census's semiregularity test finds.
+    Let a be the least point G moves and D_j = {x in G : x[a] = j}. For h
+    in G_a, x -> h x h^-1 (y[h[i]] = h[x[i]]) maps D_j onto D_{h[j]} and
+    keeps the cycle type, so D_j and D_{h[j]} hold as many derangements and
+    as many semiregular elements of each order. Every derangement lies in
+    some D_j with j != a, so the counts are read off one coset D_r per
+    suborbit (G_a-orbit of a point r != a in a's G-orbit), weighted by the
+    size of the suborbit. Each r is the least point of its suborbit. Every
+    element fixes the points below a, so image tuples first differ at a:
+    the least element of order m lies in the D_j with the least j that has
+    one, a union of suborbits, so that j is some r and every witness is the
+    least of its order in G, as in a scan of the whole group.
 
-    One pass over G's base cosets, with no Permutation built; raises
-    BudgetError when |G| exceeds the budget. Each element is u∘p with u in
-    the level-0 transversal and p in the base point's stabilizer, and u∘p
-    fixes i exactly when u[p[i]] == i. So with ``masks[i][v]`` the bitset of
-    the transversal elements u with u[v] == i, the derangements of the coset
-    {u∘p} are the bits of ``full & ~OR_i masks[i][p[i]]``: a coset costs n
-    big-int ORs, and image tuples are built, and get the cycle-length test,
-    only for its derangements, since every non-identity semiregular element
-    is one. Only the latest group's census is kept: a larger cache would hold
-    the semiregular elements of every group its callers keep alive.
+    One walk of the base point's stabilizer G_b (from ``base_cosets``)
+    gives every D_r as {u_r∘p∘t^-1 : p in G_b}, u_r the transversal element
+    with u_r[b] == r and t the one with t[b] == a (the pivot; t = 1 when
+    a = b). When a lies outside b's orbit, a copy of G whose chain starts at
+    a is walked instead. u∘q fixes i exactly when u[q[i]] == i, so with
+    ``masks[i][v]`` the bitset of the representatives' u with u[v] == i,
+    the derangements among {u_r∘q} are the bits of ``full & ~OR_i
+    masks[i][q[i]]``; only they are built and get the cycle-length test.
+
+    Raises BudgetError when |G| exceeds the budget. Only the latest group's
+    census is kept: a larger cache would hold the semiregular elements of
+    every group its callers keep alive.
     """
     transversal, walk = G.base_cosets(element_budget)
     n = G.degree
+    a = min((i for g in G.generators for i, j in enumerate(g.images) if i != j), default=None)
+    if a is None:
+        return ElementCensus(0, {}, ())
+    b, stabilizer = G.base_stabilizer()
+    at = {u[b]: u for u in transversal}
+    pivot = None  # the images of t^-1, t in G with t[b] == a
+    if a != b:
+        if a not in at:
+            first = next(g for g in G.generators if g.images[a] != a)
+            copy = PermGroup([first, *(g for g in G.generators if g is not first)], n)
+            return element_census.__wrapped__(copy, element_budget)
+        t = Permutation._trusted(at[a])
+        t_inv = inverse(t)
+        stabilizer = [compose(compose(t_inv, s), t) for s in stabilizer]
+        pivot = t_inv.images
+
+    # the suborbits, each from its least point, with one conjugator per point
+    seen = {a}
+    reps, conjugators = [], []
+    for r in sorted(at):
+        if r not in seen:
+            found = orbit_transversal(r, stabilizer, n)
+            seen.update(found)
+            reps.append(r)
+            conjugators.append(tuple((h.images, inverse(h).images) for h in found.values()))
+
+    coset = [at[r] for r in reps]
+    weights = [len(c) for c in conjugators]
     masks = [[0] * n for _ in range(n)]
-    for j, u in enumerate(transversal):
+    for k, u in enumerate(coset):
         for v, i in enumerate(u):
-            masks[i][v] |= 1 << j
-    full = (1 << len(transversal)) - 1
+            masks[i][v] |= 1 << k
+    full = (1 << len(coset)) - 1
     count = 0
-    semiregular = []
-    orders = []
+    elements = [[] for _ in coset]
+    orders = [[] for _ in coset]
     for p in walk:
-        deranged = full & ~reduce(or_, map(getitem, masks, p))
-        count += deranged.bit_count()
+        q = p if pivot is None else tuple(map(p.__getitem__, pivot))
+        deranged = full & ~reduce(or_, map(getitem, masks, q))
         while deranged:
             low = deranged & -deranged
-            x = tuple(map(transversal[low.bit_length() - 1].__getitem__, p))
+            k = low.bit_length() - 1
+            count += weights[k]
+            x = tuple(map(coset[k].__getitem__, q))
             m = common_cycle_length(x)
             if m is not None:
-                semiregular.append(x)
-                orders.append(m)
+                elements[k].append(x)
+                orders[k].append(m)
             deranged ^= low
-    # sorted by index: comparing (x, m) pairs would cost a tuple per element
-    by_image = sorted(range(len(semiregular)), key=semiregular.__getitem__)
-    return (count, tuple(map(semiregular.__getitem__, by_image)),
-            tuple(map(orders.__getitem__, by_image)))
+
+    by_order: dict[int, tuple[int, tuple[int, ...]]] = {}
+    for xs, ms, w in zip(elements, orders, weights):
+        for x, m in zip(xs, ms):
+            total, least = by_order.get(m, (0, x))
+            by_order[m] = (total + w, min(least, x))
+    suborbits = tuple(Suborbit(tuple(xs), tuple(ms), c)
+                      for xs, ms, c in zip(elements, orders, conjugators))
+    return ElementCensus(count, dict(sorted(by_order.items())), suborbits)
 
 
 def is_elusive(G: PermGroup,
@@ -226,19 +322,19 @@ def is_elusive(G: PermGroup,
 
     Elusive means no fixed-point-free element of prime order exists. Such an
     element is a derangement exactly when it is semiregular, so the witness
-    is the first census element of prime order, the lexicographically least
-    one; its order is read off the census.
+    is the lexicographically least semiregular element of prime order: the
+    least of the census's least elements of each prime order.
     """
     primes = sorted(factorize(G.order()))
     try:
-        _, semi_elems, orders = element_census(G, element_budget)
+        census = element_census(G, element_budget)
     except BudgetError:
         return ElusivenessReport(G.name, None, None, None, primes,
                                  "order exceeds enumeration budget")
-    i = next((i for i, m in enumerate(orders) if is_prime(m)), None)
-    if i is None:
+    least = min(((x, m) for m, (_, x) in census.by_order.items() if is_prime(m)), default=None)
+    if least is None:
         return ElusivenessReport(G.name, True, None, None, primes)
-    return ElusivenessReport(G.name, False, Permutation(semi_elems[i]), orders[i], primes)
+    return ElusivenessReport(G.name, False, Permutation(least[0]), least[1], primes)
 
 
 # -- maximum semiregular order --------------------------------------------------
@@ -314,8 +410,8 @@ class MaxSemiregularResult:
     nodes: int  # extension attempts
     semiregular_element_count: int = 0
     # order d -> (p, x): G has no subgroup of order d by the Sylow argument at
-    # the prime p, and x, the first census element of order p, generates a
-    # Sylow p-subgroup
+    # the prime p, and x, the least element of order p, generates a Sylow
+    # p-subgroup
     excluded: dict[int, tuple[int, Permutation]] = field(default_factory=dict)
 
 
@@ -331,8 +427,8 @@ def max_semiregular_order(G: PermGroup,
       is 1 for every prime p that divides no semiregular element's order: a
       semiregular subgroup of order divisible by p holds an element of order
       p, which is semiregular. The best cyclic subgroup is generated by the
-      first census element of the largest order. If its order meets the
-      bound, it is returned at once, with no search node.
+      least semiregular element of the largest order. If its order meets
+      the bound, it is returned at once, with no search node.
     - Sylow exclusions lower the bound to the largest divisor of it, above
       the best cyclic order, that G may hold a subgroup of. A divisor d is
       excluded by a prime p that exactly divides d and |G| but not |G_x|
@@ -343,11 +439,12 @@ def max_semiregular_order(G: PermGroup,
       p - 1: |N_G(P)| = |G| (p - 1) / count. A subgroup of order d would lie
       in the normalizer of its Sylow p-subgroup, a conjugate of P, so none
       exists. The excluded orders, their primes and an element of each
-      prime's order are recorded in ``excluded``; if the bound falls to the best cyclic order, that is
-      returned at once.
+      prime's order are recorded in ``excluded``; if the bound falls to the
+      best cyclic order, that is returned at once.
     - Every cyclic subgroup, from one walk over the powers of its least
-      generator; an extension joins only that generator, since <K, p> =
-      <K, q> whenever <p> = <q>.
+      generator, over the sorted semiregular images that the census builds
+      by conjugation (``ElementCensus.semiregular_images``); an extension
+      joins only that generator, since <K, p> = <K, q> whenever <p> = <q>.
     - A breadth-first search over semiregular subgroups extended one cyclic
       subgroup at a time, from one cyclic subgroup per G-conjugacy class.
       Conjugation preserves order and semiregularity, and every nontrivial
@@ -379,31 +476,31 @@ def max_semiregular_order(G: PermGroup,
     best = SemiregularWitness(G.name, [Permutation.identity(n)], 1, "cyclic-scan")
     nodes = 0
     try:
-        _, images, orders = element_census(G, element_budget)
+        census = element_census(G, element_budget)
     except BudgetError:
         return MaxSemiregularResult(best, False, nodes)
-    count = len(images)
+    by_order = census.by_order
+    count = census.semiregular_count
 
     # the prime-part bound: a semiregular subgroup of order divisible by p
     # holds a semiregular element of order p
-    distinct = set(orders)
     bound = 1
     for p, e in factorize(n).items():
-        if any(m % p == 0 for m in distinct):
+        if any(m % p == 0 for m in by_order):
             bound *= p ** e
-    # the best cyclic subgroup: generated by the first element of largest order
-    if orders:
-        top = max(orders)
+    # the best cyclic subgroup: generated by the least element of largest order
+    if by_order:
+        top = max(by_order)
         coprime = semiregular_primes(G) if G.is_transitive() else set()
         method = "order-coprime" if top in coprime else "cyclic-scan"
-        best = SemiregularWitness(G.name, [Permutation(images[orders.index(top)])], top, method)
+        best = SemiregularWitness(G.name, [Permutation(by_order[top][1])], top, method)
     if best.order == bound:
         return MaxSemiregularResult(best, True, nodes, count)
 
     # Sylow exclusions: for p exactly dividing |G| and not |G_x|, the census
-    # holds every element of order p, and they generate the Sylow p-subgroups
+    # counts every element of order p, and they generate the Sylow p-subgroups
     group_order = G.order()
-    normalizers = {p: group_order * (p - 1) // orders.count(p)
+    normalizers = {p: group_order * (p - 1) // by_order[p][0]
                    for p in sorted(coprime) if group_order % (p * p)}
     excluded: dict[int, tuple[int, Permutation]] = {}
     for d in range(bound, best.order, -1):
@@ -414,15 +511,16 @@ def max_semiregular_order(G: PermGroup,
         if p is None:
             bound = d
             break
-        excluded[d] = (p, Permutation(images[orders.index(p)]))
+        excluded[d] = (p, Permutation(by_order[p][1]))
     else:
         bound = best.order
     if best.order == bound:
         return MaxSemiregularResult(best, True, nodes, count, excluded)
 
-    # cyclic subgroups: least generator (census index) -> sorted census
-    # indices of its non-identity elements; every power of a semiregular
-    # element is semiregular, so the walk needs no fixed-point test
+    # cyclic subgroups: least generator (index in the sorted semiregular
+    # images) -> sorted indices of its non-identity elements; every power of
+    # a semiregular element is semiregular, so the walk needs no fixed-point test
+    images, orders = census.semiregular_images()
     identity = tuple(range(n))
     index = {x: i for i, x in enumerate(images)}
     least: list[int | None] = [None] * count

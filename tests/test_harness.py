@@ -105,6 +105,41 @@ def test_analyze_enumerates_each_group_once(monkeypatch):
     assert G.order() <= yielded < 1.1 * G.order()
 
 
+def test_analyze_a9_36_census_walks_one_coset_per_suborbit(monkeypatch):
+    # A9 on 2-subsets has rank 3 and |G_a| = 5040: the census tests the two
+    # cosets D_r, one per suborbit of G_a, and walks the cycles of at most
+    # their 10,080 elements, not of G's 78,092 derangements
+    import drg.semireg
+
+    assert catalog_load("A9:36").group.stabilizer_order() == 5040
+    walk = drg.semireg.common_cycle_length
+    calls = 0
+
+    def counted(images):
+        nonlocal calls
+        calls += 1
+        return walk(images)
+
+    monkeypatch.setattr(drg.semireg, "common_cycle_length", counted)
+    rep = analyze("A9:36")
+    assert rep["derangement_count"] == 78_092
+    assert 0 < calls <= 5040 * 2
+
+
+def test_analyze_matches_the_benchmark_reference_on_the_catalog():
+    # the census-backed fields of every catalog report against the answers
+    # the benchmark was anchored on
+    path = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
+    reference = json.loads(path.read_text())["analyze-catalog"]
+    assert sorted(reference) == sorted(rec["name"] for rec in catalog_index())
+    for name, ref in reference.items():
+        rep = analyze(name)
+        for key in ("derangement_count", "elusive", "elusive_witness_order"):
+            assert rep.get(key) == ref.get(key), (name, key)
+        if ref.get("max_semiregular_closed"):
+            assert rep["max_semiregular_order"] == ref["max_semiregular_order"], name
+
+
 def test_analyze_a7_semiregular_search_closes():
     rep = analyze("A7:7")
     assert rep["max_semiregular_closed"] is True
@@ -393,11 +428,22 @@ def test_cli_usage_errors_exit_3(capsys):
 
 
 def test_cli_rejects_a_non_positive_budget(capsys):
-    # a zero budget used to be read as "no flag" and ran at the default
-    for flag in ("--budget-elems", "--budget-nodes", "--budget-degree"):
+    # a zero budget used to be read as "no flag" and ran at the default;
+    # only verify takes --budget-degree
+    for command, flag in (("density", "--budget-elems"), ("density", "--budget-nodes"),
+                          ("verify", "--budget-degree")):
+        target = "m11-deg12-elusive" if command == "verify" else "A5:10"
         for value in ("0", "-5"):
-            assert _exit_code(["density", "A5:10", flag, value]) == 3
+            assert _exit_code([command, target, flag, value]) == 3
             assert "budget must be a positive integer" in capsys.readouterr().err
+
+
+def test_cli_budget_degree_is_a_verify_flag_only(capsys):
+    # analyze, density and corpus never read the coset-action degree budget
+    assert _exit_code(["analyze", "A5:10", "--budget-degree", "5"]) == 3
+    assert "unrecognized arguments: --budget-degree 5" in capsys.readouterr().err
+    for argv in (["density", "A5:10"], ["corpus", "."]):
+        assert _exit_code([*argv, "--budget-degree", "5"]) == 3
 
 
 def test_cli_budget_flags_reach_the_searches(capsys):

@@ -245,21 +245,81 @@ def _join_by_definition(K_gens, q, n):
     return {p.images for p in closed}
 
 
+def _census_by_definition(G):
+    """(derangement count, sorted semiregular images, order -> (count, least))
+    from one fixed-point test and one cycle walk per element."""
+    deranged = [x for x in G.iter_images() if not has_fixed_point(x)]
+    semiregular = sorted(x for x in deranged if common_cycle_length(x) is not None)
+    by_order = {}
+    for x in semiregular:  # sorted, so the first of each order is the least
+        m = common_cycle_length(x)
+        total, least = by_order.get(m, (0, x))
+        by_order[m] = (total + 1, least)
+    return len(deranged), tuple(semiregular), dict(sorted(by_order.items()))
+
+
+def _assert_census_matches_definition(G, label):
+    count, semiregular, by_order = _census_by_definition(G)
+    census = element_census.__wrapped__(G, G.order())
+    images, orders = census.semiregular_images()
+    assert census.derangements == count, label
+    assert images == semiregular, label
+    assert orders == tuple(map(common_cycle_length, images)), label
+    assert census.by_order == by_order, label
+    assert list(census.by_order) == sorted(census.by_order), label
+    assert census.semiregular_count == len(semiregular), label
+    if semiregular:
+        top = max(orders)
+        assert census.by_order[top][1] == images[orders.index(top)], label
+
+
 def test_element_census_matches_definition_on_catalog():
-    # the coset-at-a-time census against one fixed-point test per element
+    # the one-coset-per-suborbit census against one fixed-point test per element
     checked = 0
     for rec in catalog_index():
         if rec["order"] > 25_920:
             continue
-        G = catalog_load(rec["name"]).group
-        deranged = [x for x in G.iter_images() if not has_fixed_point(x)]
-        semiregular = sorted(x for x in deranged if common_cycle_length(x) is not None)
-        count, census, orders = element_census.__wrapped__(G, G.order())
-        assert count == len(deranged), rec["name"]
-        assert census == tuple(semiregular), rec["name"]
-        assert orders == tuple(map(common_cycle_length, census)), rec["name"]
+        _assert_census_matches_definition(catalog_load(rec["name"]).group, rec["name"])
         checked += 1
     assert checked >= 30
+
+
+def _random_subgroups(seed, count):
+    """Subgroups of S_n, 2 <= n <= 8, each generated by 1 to 3 random
+    permutations of random subsets of at least two points."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(2, 8)
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            support = rng.sample(range(n), rng.randint(2, n))
+            images = list(range(n))
+            for i, j in zip(support, rng.sample(support, len(support))):
+                images[i] = j
+            gens.append(Permutation(images))
+        yield PermGroup(gens, n)
+
+
+def test_element_census_matches_definition_on_random_subgroups():
+    # the census reads one coset per suborbit of the least moved point a;
+    # these groups reach every way a can sit against the chain's base b.
+    # The first fixed group is S3 on {0, 4, 5} and {1, 2, 3} with b = 2
+    # outside a = 0's orbit: a census around b would count right but name
+    # (0 5 4)(1 3 2), not (0 4 5)(1 2 3), the least element of order 3
+    fixed = [PermGroup([(0, 1, 3, 2, 5, 4), (4, 2, 3, 1, 5, 0)]),
+             PermGroup([Permutation.identity(5)])]
+    kinds = dict.fromkeys(("trivial", "intransitive", "pivot", "outside"), 0)
+    for i, G in enumerate(fixed + list(_random_subgroups(20261019, 150))):
+        moved = [x for g in G.generators for x, y in enumerate(g.images) if x != y]
+        if not moved:
+            kinds["trivial"] += 1
+        else:
+            kinds["intransitive"] += not G.is_transitive()
+            b, _ = G.base_stabilizer()
+            if min(moved) != b:
+                kinds["pivot" if b in G.orbit(min(moved)) else "outside"] += 1
+        _assert_census_matches_definition(G, (i, [g.images for g in G.generators]))
+    assert all(kinds.values()), kinds
 
 
 def test_extend_semiregular_matches_close_subgroup():
@@ -346,7 +406,7 @@ def test_max_semiregular_cyclic_answer_is_the_first_element_of_largest_order():
         r = max_semiregular_order(G, b.elements, b.nodes)
         if r.nodes:
             continue
-        _, census, _ = element_census(G, b.elements)
+        census = element_census(G, b.elements).semiregular_images()[0]
         if not census:
             assert r.witness.order == 1, rec["name"]
             continue
