@@ -55,22 +55,17 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
-def _add_budget_flags(p, degree: bool = False) -> None:
-    # the defaults are Budgets' own, so every value given reaches the searches;
-    # only the checks behind verify build coset actions and product domains
+def _add_budget_flags(p) -> None:
+    # the defaults are Budgets' own, so every value given reaches the searches
     b = Budgets()
     p.add_argument("--budget-elems", type=_positive_int, default=b.elements,
                    help="element enumeration budget")
     p.add_argument("--budget-nodes", type=_positive_int, default=b.nodes,
                    help="search node budget, also semiregular extension attempts")
-    if degree:
-        p.add_argument("--budget-degree", type=_positive_int, default=b.degree,
-                       help="coset action and product domain degree budget")
 
 
 def _budgets_from(args) -> Budgets:
-    return Budgets(args.budget_elems, args.budget_nodes,
-                   getattr(args, "budget_degree", Budgets.degree))
+    return Budgets(args.budget_elems, args.budget_nodes)
 
 
 def cmd_analyze(args) -> int:
@@ -100,7 +95,7 @@ def cmd_density(args) -> int:
 
 def cmd_verify(args) -> int:
     ids = check_ids() if args.check == "all" else [args.check]
-    budgets = _budgets_from(args)
+    budgets = Budgets(args.budget_elems, args.budget_nodes, args.budget_degree)
     worst = 0
     for check_id in ids:
         try:
@@ -251,7 +246,10 @@ def main(argv=None) -> int:
     p = sub.add_parser("verify", help="run a named check (or: all)")
     p.add_argument("check")
     p.add_argument("--json", action="store_true", help="print full reports")
-    _add_budget_flags(p, degree=True)
+    _add_budget_flags(p)
+    # only the checks behind verify build coset actions and product domains
+    p.add_argument("--budget-degree", type=_positive_int, default=Budgets.degree,
+                   help="coset action and product domain degree budget")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("corpus", help="scan a directory of group files")

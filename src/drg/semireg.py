@@ -241,14 +241,15 @@ def element_census(G: PermGroup, element_budget: int) -> ElementCensus:
     one, a union of suborbits, so that j is some r and every witness is the
     least of its order in G, as in a scan of the whole group.
 
-    One walk of the base point's stabilizer G_b (from ``base_cosets``)
-    gives every D_r as {u_r∘p∘t^-1 : p in G_b}, u_r the transversal element
-    with u_r[b] == r and t the one with t[b] == a (the pivot; t = 1 when
-    a = b). When a lies outside b's orbit, a copy of G whose chain starts at
-    a is walked instead. u∘q fixes i exactly when u[q[i]] == i, so with
-    ``masks[i][v]`` the bitset of the representatives' u with u[v] == i,
-    the derangements among {u_r∘q} are the bits of ``full & ~OR_i
-    masks[i][q[i]]``; only they are built and get the cycle-length test.
+    One walk of G_a (from ``base_cosets``) gives every D_r as
+    {u_r∘p : p in G_a}, u_r the transversal element with u_r[a] == r. This
+    needs a to be the chain's first base point; when it is not (S5:10 and
+    PSp4(3):40 have base 1), a copy of G whose first generator moves a, and
+    whose chain therefore starts at a, is walked instead. u∘p fixes i
+    exactly when u[p[i]] == i, so with ``masks[i][v]`` the bitset of the
+    representatives' u with u[v] == i, the derangements among {u_r∘p} are
+    the bits of ``full & ~OR_i masks[i][p[i]]``; only they are built and
+    get the cycle-length test.
 
     Raises BudgetError when |G| exceeds the budget. Only the latest group's
     census is kept: a larger cache would hold the semiregular elements of
@@ -260,17 +261,12 @@ def element_census(G: PermGroup, element_budget: int) -> ElementCensus:
     if a is None:
         return ElementCensus(0, {}, ())
     b, stabilizer = G.base_stabilizer()
-    at = {u[b]: u for u in transversal}
-    pivot = None  # the images of t^-1, t in G with t[b] == a
     if a != b:
-        if a not in at:
-            first = next(g for g in G.generators if g.images[a] != a)
-            copy = PermGroup([first, *(g for g in G.generators if g is not first)], n)
-            return element_census.__wrapped__(copy, element_budget)
-        t = Permutation._trusted(at[a])
-        t_inv = inverse(t)
-        stabilizer = [compose(compose(t_inv, s), t) for s in stabilizer]
-        pivot = t_inv.images
+        # a copy whose first generator moves a: its chain's first base is a
+        first = next(g for g in G.generators if g.images[a] != a)
+        copy = PermGroup([first, *(g for g in G.generators if g is not first)], n)
+        return element_census.__wrapped__(copy, element_budget)
+    at = {u[a]: u for u in transversal}
 
     # the suborbits, each from its least point, with one conjugator per point
     seen = {a}
@@ -293,13 +289,12 @@ def element_census(G: PermGroup, element_budget: int) -> ElementCensus:
     elements = [[] for _ in coset]
     orders = [[] for _ in coset]
     for p in walk:
-        q = p if pivot is None else tuple(map(p.__getitem__, pivot))
-        deranged = full & ~reduce(or_, map(getitem, masks, q))
+        deranged = full & ~reduce(or_, map(getitem, masks, p))
         while deranged:
             low = deranged & -deranged
             k = low.bit_length() - 1
             count += weights[k]
-            x = tuple(map(coset[k].__getitem__, q))
+            x = tuple(map(coset[k].__getitem__, p))
             m = common_cycle_length(x)
             if m is not None:
                 elements[k].append(x)

@@ -301,14 +301,15 @@ def _random_subgroups(seed, count):
 
 
 def test_element_census_matches_definition_on_random_subgroups():
-    # the census reads one coset per suborbit of the least moved point a;
-    # these groups reach every way a can sit against the chain's base b.
-    # The first fixed group is S3 on {0, 4, 5} and {1, 2, 3} with b = 2
+    # the census reads one coset per suborbit of the least moved point a,
+    # off a chain based at a; these groups reach every way a can sit against
+    # the given chain's base b: equal, in b's orbit, outside it. The first
+    # fixed group is S3 on {0, 4, 5} and {1, 2, 3} with b = 2
     # outside a = 0's orbit: a census around b would count right but name
     # (0 5 4)(1 3 2), not (0 4 5)(1 2 3), the least element of order 3
     fixed = [PermGroup([(0, 1, 3, 2, 5, 4), (4, 2, 3, 1, 5, 0)]),
              PermGroup([Permutation.identity(5)])]
-    kinds = dict.fromkeys(("trivial", "intransitive", "pivot", "outside"), 0)
+    kinds = dict.fromkeys(("trivial", "intransitive", "in-orbit", "outside"), 0)
     for i, G in enumerate(fixed + list(_random_subgroups(20261019, 150))):
         moved = [x for g in G.generators for x, y in enumerate(g.images) if x != y]
         if not moved:
@@ -317,7 +318,7 @@ def test_element_census_matches_definition_on_random_subgroups():
             kinds["intransitive"] += not G.is_transitive()
             b, _ = G.base_stabilizer()
             if min(moved) != b:
-                kinds["pivot" if b in G.orbit(min(moved)) else "outside"] += 1
+                kinds["in-orbit" if b in G.orbit(min(moved)) else "outside"] += 1
         _assert_census_matches_definition(G, (i, [g.images for g in G.generators]))
     assert all(kinds.values()), kinds
 
