@@ -44,6 +44,9 @@ def _shape_problem(record) -> str | None:
     degree = record["degree"]
     if type(degree) is not int or degree < 1:
         return f"degree must be a positive integer, got {degree!r}"
+    one_based = record.get("one_based", False)
+    if type(one_based) is not bool:
+        return f"one_based must be true or false, got {one_based!r}"
     subgroups = record.get("subgroups", [])
     if not isinstance(subgroups, list) or not all(
             isinstance(sub, dict) and isinstance(sub.get("name"), str) and "generators" in sub
@@ -90,7 +93,7 @@ def load_group_file(path: Path | str) -> GroupFile:
     if problem:
         raise IntegrityError(f"{path}: {problem}")
     degree = record["degree"]
-    one_based = bool(record.get("one_based", False))
+    one_based = record.get("one_based", False)
     try:
         gens = [_parse_generator(g, degree, one_based) for g in record["generators"]]
         if not gens:

@@ -195,8 +195,9 @@ _AUDIT_COCLIQUE_CAP = 720
 
 def _stabilizer_coclique(G: PermGroup) -> CocliqueCertificate:
     """An intersecting family from the stabilizer of G's first base point,
-    capped for audit size: min(|G|/n, cap) members, since every point
-    stabilizer of a transitive group has order |G|/n.
+    the least point G moves, capped for audit size: min(|G|/n, cap)
+    members, since every point stabilizer of a transitive group has order
+    |G|/n.
 
     Any two members agree at the base point. They are streamed lazily off
     the levels of G's chain below the base, as products of transversal

@@ -1,14 +1,14 @@
 """Permutation groups backed by a deterministic stabilizer chain.
 
 The chain (base and strong generating set) is built once, on demand, by a
-deterministic Schreier-Sims: base points are chosen greedily as the smallest
-point moved by a remaining strong generator, and all bookkeeping iterates
-points in increasing order, so two builds from the same generator list agree
-element for element. Every enumeration of the group reads one walk off the
-chain, ``base_cosets``: the level-0 transversal and a walk of the base
-point's stabilizer, whose products u∘p are the elements. ``iter_images``
-streams those products; a caller that needs only fixed points can test a
-whole coset {u∘p} at once, since u∘p fixes i exactly when u[p[i]] == i.
+deterministic Schreier-Sims. The first base point is the least point that
+any generator moves; later ones are chosen greedily as the smallest point
+moved by a remaining strong generator. All bookkeeping iterates points in
+increasing order, so two builds from the same generator list agree element
+for element. Every enumeration of the group reads one walk off the chain,
+``base_cosets``: the level-0 transversal and a walk of the base point's
+stabilizer, whose products u∘p are the elements. ``iter_images`` streams
+those products.
 
 A coset action keys each coset H r by its lexicographically least image
 tuple, read off a compressed trie of H's sorted image tuples with one choice
@@ -152,7 +152,9 @@ class PermGroup:
     def _build_chain(self) -> None:
         if self._chain is not None:
             return
-        self._chain = []
+        base = min((i for g in self.generators for i, j in enumerate(g.images) if i != j),
+                   default=None)
+        self._chain = [] if base is None else [_ChainLevel(base)]
         for g in self.generators:
             if not g.is_identity():
                 self._file_gen(g)
@@ -190,10 +192,10 @@ class PermGroup:
 
         The walk streams each element p of G_{b0} once, off the deeper levels
         of the chain. Every element of G is u∘p, the image tuple
-        ``tuple(map(u.__getitem__, p))``, for exactly one such pair, so a
-        caller can treat the coset {u∘p : u in the transversal} at once: u∘p
-        fixes i exactly when u[p[i]] == i. Raises BudgetError at once when
-        |G| exceeds the budget.
+        ``tuple(map(u.__getitem__, p))``, for exactly one such pair. A caller
+        can test u∘p for fixed points before building it: u∘p fixes i
+        exactly when p[i] == u^-1[i]. Raises BudgetError at once when |G|
+        exceeds the budget.
         """
         if self.order() > budget:
             raise BudgetError(
@@ -210,8 +212,8 @@ class PermGroup:
     def base_stabilizer(self) -> tuple[int, list[Permutation]]:
         """(the first base point b0, generators of its stabilizer G_{b0}).
 
-        The generators are the strong generators filed below level 0. G must
-        move some point.
+        b0 is the least point that G moves. The generators are the strong
+        generators filed below level 0. G must move some point.
         """
         self._build_chain()
         return self._chain[0].base, self._strong_gens_at(1)

@@ -10,10 +10,11 @@ suborbit of the stabilizer G_a of the least moved point a, weighted by the
 suborbit's size: conjugation by G_a maps D_r onto D_j for every j in r's
 suborbit. With r the least point of its suborbit, the least element of
 each order lies in some D_r, so the witnesses are those of a scan of all of
-G. The census tests fixed points many elements at a time: u∘q fixes i
-exactly when u[q[i]] == i, so one OR of n bitsets gives the derangements
-among the cosets' elements u_r∘q, and only those are built. Each gets one
-cycle walk, which finds its order when all its cycles share a length.
+G. The chain's first base point is a, so one walk of G_a gives every D_r as
+{u_r∘q}. u_r∘q fixes i exactly when q[i] == u_r^-1[i], so each element is
+tested against the representative's inverse and built only when it is a
+derangement. Each gets one cycle walk, which finds its order when all its
+cycles share a length.
 
 The subgroup search first reads the census orders: the best cyclic subgroup
 and the prime-part bound below come from them alone, and when they meet, as
@@ -50,9 +51,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import lru_cache
 from math import gcd, lcm
-from operator import eq, getitem, or_
+from operator import eq
 
 from .graph import DEFAULT_NODE_BUDGET
 from .group import (
@@ -184,12 +185,10 @@ class Suborbit:
     """The semiregular elements of one coset D_r = {x in G : x[a] = r}.
 
     ``elements`` holds the non-identity semiregular image tuples of D_r, in
-    walk order, and ``orders[i]`` the order of ``elements[i]``.
-    ``conjugators`` holds one pair (h, h^-1) of image tuples per point j of
-    r's G_a-orbit, h in G_a with h[r] == j, r's own pair first.
+    walk order. ``conjugators`` holds one pair (h, h^-1) of image tuples per
+    point j of r's G_a-orbit, h in G_a with h[r] == j, r's own pair first.
     """
     elements: tuple[tuple[int, ...], ...]
-    orders: tuple[int, ...]
     conjugators: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 
 
@@ -208,21 +207,16 @@ class ElementCensus:
     def semiregular_count(self) -> int:
         return sum(count for count, _ in self.by_order.values())
 
-    def semiregular_images(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-        """(every non-identity semiregular image, sorted; the order of each).
+    def semiregular_images(self) -> tuple[tuple[int, ...], ...]:
+        """Every non-identity semiregular image, sorted.
 
         D_j is h D_r h^-1 for the conjugator h of j, so each suborbit's
         elements are conjugated once per point of it: y[h[i]] = h[x[i]].
         """
-        images, orders = [], []
-        for sub in self.suborbits:
-            for h, h_inv in sub.conjugators:
-                images.extend(tuple(map(h.__getitem__, map(x.__getitem__, h_inv)))
-                              for x in sub.elements)
-                orders.extend(sub.orders)
-        # sorted by index: comparing (x, m) pairs would cost a tuple per element
-        by_image = sorted(range(len(images)), key=images.__getitem__)
-        return tuple(map(images.__getitem__, by_image)), tuple(map(orders.__getitem__, by_image))
+        return tuple(sorted(tuple(map(h.__getitem__, map(x.__getitem__, h_inv)))
+                            for sub in self.suborbits
+                            for h, h_inv in sub.conjugators
+                            for x in sub.elements))
 
 
 @lru_cache(maxsize=1)
@@ -241,14 +235,10 @@ def element_census(G: PermGroup, element_budget: int) -> ElementCensus:
     one, a union of suborbits, so that j is some r and every witness is the
     least of its order in G, as in a scan of the whole group.
 
-    One walk of G_a (from ``base_cosets``) gives every D_r as
-    {u_r∘p : p in G_a}, u_r the transversal element with u_r[a] == r. This
-    needs a to be the chain's first base point; when it is not (S5:10 and
-    PSp4(3):40 have base 1), a copy of G whose first generator moves a, and
-    whose chain therefore starts at a, is walked instead. u∘p fixes i
-    exactly when u[p[i]] == i, so with ``masks[i][v]`` the bitset of the
-    representatives' u with u[v] == i, the derangements among {u_r∘p} are
-    the bits of ``full & ~OR_i masks[i][p[i]]``; only they are built and
+    a is the chain's first base point, so one walk of G_a (from
+    ``base_cosets``) gives every D_r as {u_r∘p : p in G_a}, u_r the
+    transversal element with u_r[a] == r. u_r∘p fixes i exactly when
+    p[i] == u_r^-1[i], so only the derangements among them are built and
     get the cycle-length test.
 
     Raises BudgetError when |G| exceeds the budget. Only the latest group's
@@ -256,58 +246,40 @@ def element_census(G: PermGroup, element_budget: int) -> ElementCensus:
     every group its callers keep alive.
     """
     transversal, walk = G.base_cosets(element_budget)
-    n = G.degree
-    a = min((i for g in G.generators for i, j in enumerate(g.images) if i != j), default=None)
-    if a is None:
+    if G.order() == 1:
         return ElementCensus(0, {}, ())
-    b, stabilizer = G.base_stabilizer()
-    if a != b:
-        # a copy whose first generator moves a: its chain's first base is a
-        first = next(g for g in G.generators if g.images[a] != a)
-        copy = PermGroup([first, *(g for g in G.generators if g is not first)], n)
-        return element_census.__wrapped__(copy, element_budget)
-    at = {u[a]: u for u in transversal}
+    a, stabilizer = G.base_stabilizer()
+    n = G.degree
+    at = {u[a]: Permutation._trusted(u) for u in transversal}
 
-    # the suborbits, each from its least point, with one conjugator per point
+    # the suborbits, each from its least point r: D_r's representative, its
+    # inverse, the suborbit's size, D_r's semiregular elements; and one
+    # conjugator per point of the suborbit
     seen = {a}
-    reps, conjugators = [], []
+    cosets, conjugators = [], []
     for r in sorted(at):
         if r not in seen:
             found = orbit_transversal(r, stabilizer, n)
             seen.update(found)
-            reps.append(r)
+            cosets.append((at[r].images, inverse(at[r]).images, len(found), []))
             conjugators.append(tuple((h.images, inverse(h).images) for h in found.values()))
 
-    coset = [at[r] for r in reps]
-    weights = [len(c) for c in conjugators]
-    masks = [[0] * n for _ in range(n)]
-    for k, u in enumerate(coset):
-        for v, i in enumerate(u):
-            masks[i][v] |= 1 << k
-    full = (1 << len(coset)) - 1
     count = 0
-    elements = [[] for _ in coset]
-    orders = [[] for _ in coset]
+    by_order: dict[int, tuple[int, tuple[int, ...]]] = {}
     for p in walk:
-        deranged = full & ~reduce(or_, map(getitem, masks, p))
-        while deranged:
-            low = deranged & -deranged
-            k = low.bit_length() - 1
-            count += weights[k]
-            x = tuple(map(coset[k].__getitem__, p))
+        for u, u_inv, weight, elements in cosets:
+            if any(map(eq, p, u_inv)):
+                continue
+            count += weight
+            x = tuple(map(u.__getitem__, p))
             m = common_cycle_length(x)
             if m is not None:
-                elements[k].append(x)
-                orders[k].append(m)
-            deranged ^= low
+                elements.append(x)
+                total, least = by_order.get(m, (0, x))
+                by_order[m] = (total + weight, min(least, x))
 
-    by_order: dict[int, tuple[int, tuple[int, ...]]] = {}
-    for xs, ms, w in zip(elements, orders, weights):
-        for x, m in zip(xs, ms):
-            total, least = by_order.get(m, (0, x))
-            by_order[m] = (total + w, min(least, x))
-    suborbits = tuple(Suborbit(tuple(xs), tuple(ms), c)
-                      for xs, ms, c in zip(elements, orders, conjugators))
+    suborbits = tuple(Suborbit(tuple(elements), c)
+                      for (_, _, _, elements), c in zip(cosets, conjugators))
     return ElementCensus(count, dict(sorted(by_order.items())), suborbits)
 
 
@@ -514,8 +486,9 @@ def max_semiregular_order(G: PermGroup,
 
     # cyclic subgroups: least generator (index in the sorted semiregular
     # images) -> sorted indices of its non-identity elements; every power of
-    # a semiregular element is semiregular, so the walk needs no fixed-point test
-    images, orders = census.semiregular_images()
+    # a semiregular element is semiregular, so the walk needs no fixed-point test;
+    # an element's order is one more than its count of non-identity powers
+    images = census.semiregular_images()
     identity = tuple(range(n))
     index = {x: i for i, x in enumerate(images)}
     least: list[int | None] = [None] * count
@@ -529,7 +502,7 @@ def max_semiregular_order(G: PermGroup,
             powers.append(index[x])
             x = tuple(map(p.__getitem__, x))
         for k, j in enumerate(powers, 1):
-            if gcd(k, orders[i]) == 1:
+            if gcd(k, len(powers) + 1) == 1:
                 least[j] = i
         cyclic[i] = tuple(sorted(powers))
 

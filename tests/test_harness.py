@@ -369,6 +369,9 @@ _MALFORMED_GROUP_FILES = {
     "subgroup generator of another degree": json.dumps(
         {"name": "g", "degree": 3, "generators": [[1, 2, 0]],
          "subgroups": [{"name": "s", "generators": [[1, 0]]}]}),
+    # "no" is truthy: read as a bool, it would load (1,2,3) one-based as (0,1,2)
+    "one_based a string": json.dumps(
+        {"name": "g", "degree": 4, "one_based": "no", "generators": ["(1,2,3)"]}),
     "not UTF-8": b"\xff\xfe{",
     "a directory": None,
 }
