@@ -45,13 +45,24 @@ pruning below keeps a closed search exhaustive:
 A join is built by coset extension from K, and each new coset rK is tested
 whole: some r∘k has a fixed point exactly when r sends some point v into
 v's own K-orbit. So a coset's elements are built only once it has passed.
+
+Everything the search reads is built only as far as it reads it. The
+semiregular images stream in increasing order, one coset D_j at a time,
+conjugated from the census's D_r; the cyclic subgroups are drawn from that
+stream into one buffer that every reader shares; and a root's conjugacy
+class is fused only when the search asks for the next root. A search that
+meets its bound inside the first root's candidate loop, as most do, builds
+a small share of the images and fuses no class.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterator
+from copy import copy
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import tee
 from math import gcd, lcm
 from operator import eq
 
@@ -184,10 +195,12 @@ class ElusivenessReport:
 class Suborbit:
     """The semiregular elements of one coset D_r = {x in G : x[a] = r}.
 
-    ``elements`` holds the non-identity semiregular image tuples of D_r, in
-    walk order. ``conjugators`` holds one pair (h, h^-1) of image tuples per
-    point j of r's G_a-orbit, h in G_a with h[r] == j, r's own pair first.
+    ``point`` is r, and ``elements`` holds the non-identity semiregular image
+    tuples of D_r, in walk order. ``conjugators`` holds one pair (h, h^-1) of
+    image tuples per point j = h[r] of r's G_a-orbit, h in G_a. r's own pair
+    comes first: the identity, one tuple that every suborbit shares.
     """
+    point: int
     elements: tuple[tuple[int, ...], ...]
     conjugators: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 
@@ -207,16 +220,21 @@ class ElementCensus:
     def semiregular_count(self) -> int:
         return sum(count for count, _ in self.by_order.values())
 
-    def semiregular_images(self) -> tuple[tuple[int, ...], ...]:
-        """Every non-identity semiregular image, sorted.
+    def semiregular_images(self) -> Iterator[tuple[int, ...]]:
+        """Every non-identity semiregular image, in increasing order, one coset at a time.
 
-        D_j is h D_r h^-1 for the conjugator h of j, so each suborbit's
-        elements are conjugated once per point of it: y[h[i]] = h[x[i]].
+        Every element fixes the points below a, so images first differ at a,
+        and the coset D_j = {x : x[a] = j} comes whole before D_k for j < k.
+        D_j is h D_r h^-1 for the conjugator h with h[r] == j, y[h[i]] =
+        h[x[i]], so each coset is built and sorted only when the reader
+        reaches it.
         """
-        return tuple(sorted(tuple(map(h.__getitem__, map(x.__getitem__, h_inv)))
-                            for sub in self.suborbits
-                            for h, h_inv in sub.conjugators
-                            for x in sub.elements))
+        cosets = sorted((h[sub.point], h, h_inv, sub.elements)
+                        for sub in self.suborbits if sub.elements
+                        for h, h_inv in sub.conjugators)
+        for _, h, h_inv, elements in cosets:
+            yield from sorted(tuple(map(h.__getitem__, map(x.__getitem__, h_inv)))
+                              for x in elements)
 
 
 @lru_cache(maxsize=1)
@@ -254,7 +272,8 @@ def element_census(G: PermGroup, element_budget: int) -> ElementCensus:
 
     # the suborbits, each from its least point r: D_r's representative, its
     # inverse, the suborbit's size, D_r's semiregular elements; and one
-    # conjugator per point of the suborbit
+    # conjugator per point of the suborbit, r's own the shared identity
+    identity = tuple(range(n))
     seen = {a}
     cosets, conjugators = [], []
     for r in sorted(at):
@@ -262,7 +281,9 @@ def element_census(G: PermGroup, element_budget: int) -> ElementCensus:
             found = orbit_transversal(r, stabilizer, n)
             seen.update(found)
             cosets.append((at[r].images, inverse(at[r]).images, len(found), []))
-            conjugators.append(tuple((h.images, inverse(h).images) for h in found.values()))
+            conjugators.append((r, ((identity, identity),
+                                    *((h.images, inverse(h).images)
+                                      for j, h in found.items() if j != r))))
 
     count = 0
     by_order: dict[int, tuple[int, tuple[int, ...]]] = {}
@@ -278,8 +299,8 @@ def element_census(G: PermGroup, element_budget: int) -> ElementCensus:
                 total, least = by_order.get(m, (0, x))
                 by_order[m] = (total + weight, min(least, x))
 
-    suborbits = tuple(Suborbit(tuple(elements), c)
-                      for (_, _, _, elements), c in zip(cosets, conjugators))
+    suborbits = tuple(Suborbit(r, tuple(elements), c)
+                      for (_, _, _, elements), (r, c) in zip(cosets, conjugators))
     return ElementCensus(count, dict(sorted(by_order.items())), suborbits)
 
 
@@ -370,6 +391,67 @@ def _forces_normal_sylow(d: int, p: int) -> bool:
     return r == 0 and m % p != 0 and not any(m % t == 0 for t in range(p + 1, m + 1, p))
 
 
+def _powers(p: tuple[int, ...], identity: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The cyclic group <p>, identity first: 1, p, p^2, ..., p^(m-1), m = |p|."""
+    powers = [identity]
+    x = p
+    while x != identity:
+        powers.append(x)
+        x = tuple(map(p.__getitem__, x))
+    return powers
+
+
+def _generators(powers: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The generators of the cyclic group that ``_powers`` lists: p^k, k coprime to m."""
+    m = len(powers)
+    return [x for k, x in enumerate(powers) if gcd(k, m) == 1]
+
+
+def _cyclic_subgroups(images: Iterator[tuple[int, ...]], identity: tuple[int, ...]):
+    """(least generator p, ``_powers(p)``) of each cyclic subgroup, by increasing p.
+
+    ``images`` yields every non-identity semiregular element once, in
+    increasing order, so an image is its subgroup's least generator exactly
+    when no earlier least generator's generators have claimed it. Every
+    power of a semiregular element is semiregular, so the powers need no
+    fixed-point test.
+    """
+    claimed: set[tuple[int, ...]] = set()
+    for p in images:
+        if p in claimed:
+            claimed.remove(p)
+            continue
+        powers = _powers(p, identity)
+        claimed.update(_generators(powers))
+        claimed.remove(p)
+        yield p, powers
+
+
+def _roots(cyclic, conjugators, identity: tuple[int, ...]):
+    """The least cyclic subgroup of each G-conjugacy class, as ``cyclic`` lists it.
+
+    A root's class is fused only when the next root is asked for: the
+    subgroups reached from it by conjugation with G's generators, each
+    named by its least generator. The next root is the next subgroup in
+    ``cyclic`` that no fused class holds.
+    """
+    seen: set[tuple[int, ...]] = set()
+    for p, elems in cyclic:
+        if p in seen:
+            continue
+        yield p, elems
+        seen.add(p)
+        stack = [p]
+        while stack:
+            x = stack.pop()
+            for g, g_inv in conjugators:
+                y = tuple(map(g_inv.__getitem__, map(x.__getitem__, g)))
+                y = min(_generators(_powers(y, identity)))
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+
+
 @dataclass
 class MaxSemiregularResult:
     witness: SemiregularWitness
@@ -408,17 +490,21 @@ def max_semiregular_order(G: PermGroup,
       exists. The excluded orders, their primes and an element of each
       prime's order are recorded in ``excluded``; if the bound falls to the
       best cyclic order, that is returned at once.
-    - Every cyclic subgroup, from one walk over the powers of its least
-      generator, over the sorted semiregular images that the census builds
-      by conjugation (``ElementCensus.semiregular_images``); an extension
-      joins only that generator, since <K, p> = <K, q> whenever <p> = <q>.
+    - Every cyclic subgroup, by its least generator, drawn in increasing
+      order from the semiregular images that the census streams one coset
+      at a time (``ElementCensus.semiregular_images``), and only as far as
+      the search reads; an extension joins only that generator, since
+      <K, p> = <K, q> whenever <p> = <q>.
     - A breadth-first search over semiregular subgroups extended one cyclic
       subgroup at a time, from one cyclic subgroup per G-conjugacy class.
       Conjugation preserves order and semiregularity, and every nontrivial
       semiregular H contains a cyclic subgroup C; if C^g is the root of C's
-      class then H^g contains it and is reached from it. The classes do not
-      depend on G's generating set, so the roots are found by conjugating
-      with a reduced one.
+      class then H^g contains it and is reached from it. The first root is
+      the first cyclic subgroup, and each root's class is fused, by
+      conjugating with G's generators, only when the search asks for the
+      next root. Every root is expanded before any child, as if all were
+      queued first: a child of an earlier root that is a later root's
+      subgroup is expanded as that root, with every candidate.
 
     Each pruning of the search keeps it exact:
 
@@ -484,58 +570,31 @@ def max_semiregular_order(G: PermGroup,
     if best.order == bound:
         return MaxSemiregularResult(best, True, nodes, count, excluded)
 
-    # cyclic subgroups: least generator (index in the sorted semiregular
-    # images) -> sorted indices of its non-identity elements; every power of
-    # a semiregular element is semiregular, so the walk needs no fixed-point test;
-    # an element's order is one more than its count of non-identity powers
-    images = census.semiregular_images()
+    # the search: every root, then their descendants in breadth-first order
     identity = tuple(range(n))
-    index = {x: i for i, x in enumerate(images)}
-    least: list[int | None] = [None] * count
-    cyclic: dict[int, tuple[int, ...]] = {}
-    for i, p in enumerate(images):
-        if least[i] is not None:
-            continue
-        powers = []
-        x = p
-        while x != identity:
-            powers.append(index[x])
-            x = tuple(map(p.__getitem__, x))
-        for k, j in enumerate(powers, 1):
-            if gcd(k, len(powers) + 1) == 1:
-                least[j] = i
-        cyclic[i] = tuple(sorted(powers))
+    # every reader of the cyclic subgroups is a copy of this tee iterator,
+    # which never advances itself: the readers share one buffer, so the
+    # stream is drawn once, and only as far as the furthest reader
+    cyclic, = tee(_cyclic_subgroups(census.semiregular_images(), identity), 1)
+    conjugators = [(g.images, inverse(g).images) for g in G.generators]
+    visited: set[frozenset[tuple[int, ...]]] = set()
+    queue: deque = deque()
 
-    # one root per G-conjugacy class of cyclic subgroups, the least one; the
-    # classes do not depend on the generating set, so a small one serves
-    conjugators = [(g.images, inverse(g).images)
-                   for g in reduce_generators(list(G.generators), n, G.order())]
-    roots = []
-    seen: set[int] = set()
-    for i in cyclic:
-        if i in seen:
-            continue
-        roots.append(i)
-        seen.add(i)
-        stack = [i]
-        while stack:
-            x = images[stack.pop()]
-            for g, g_inv in conjugators:
-                j = least[index[tuple(map(g_inv.__getitem__, map(x.__getitem__, g)))]]
-                if j not in seen:
-                    seen.add(j)
-                    stack.append(j)
+    def frontier():
+        # (generators, elements with the identity first, candidates) of each node
+        superseded = set()
+        for p, elems in _roots(copy(cyclic), conjugators, identity):
+            key = frozenset(elems)
+            if key in visited:  # a child of an earlier root, searched as this root instead
+                superseded.add(key)
+            visited.add(key)
+            yield [p], elems, (q for q, _ in copy(cyclic))
+        while queue:
+            gens, elems, key, candidates = queue.popleft()
+            if key not in superseded:
+                yield gens, elems, candidates
 
-    cyclic_gens = [images[i] for i in cyclic]
-    visited: set[tuple[int, ...]] = set()
-    queue: deque[tuple[list[tuple[int, ...]], tuple[int, ...], list[tuple[int, ...]]]] = deque()
-    for i in roots:
-        visited.add(cyclic[i])
-        queue.append(([images[i]], cyclic[i], cyclic_gens))
-
-    while queue:
-        gens, key, candidates = queue.popleft()
-        elems = [identity, *(images[j] for j in key)]
+    for gens, elems, candidates in frontier():
         members = set(elems)
         label = _orbit_labels(elems)
         joinable: list[tuple[int, ...]] = []
@@ -550,17 +609,17 @@ def max_semiregular_order(G: PermGroup,
             if joined is None:
                 continue
             joinable.append(q)
-            child = tuple(sorted(index[x] for x in joined[1:]))
-            if child in visited:
+            key = frozenset(joined)
+            if key in visited:
                 continue
-            visited.add(child)
-            children.append((gens + [q], child))
+            visited.add(key)
+            children.append((gens + [q], joined, key))
             if len(joined) > best.order:
                 best = SemiregularWitness(G.name, [Permutation(g) for g in gens + [q]],
                                           len(joined), "backtrack")
                 if best.order == bound:
                     return MaxSemiregularResult(best, True, nodes, count, excluded)
-        queue.extend((child_gens, child, joinable) for child_gens, child in children)
+        queue.extend((*child, joinable) for child in children)
 
     return MaxSemiregularResult(best, True, nodes, count, excluded)
 

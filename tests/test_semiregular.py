@@ -1,7 +1,13 @@
+import gc
 import hashlib
+import importlib.util
 import itertools
 import json
 import random
+import re
+import subprocess
+import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -261,7 +267,7 @@ def _census_by_definition(G):
 def _assert_census_matches_definition(G, label):
     count, semiregular, by_order = _census_by_definition(G)
     census = element_census.__wrapped__(G, G.order())
-    images = census.semiregular_images()
+    images = tuple(census.semiregular_images())
     assert census.derangements == count, label
     assert images == semiregular, label
     assert census.by_order == by_order, label
@@ -385,12 +391,11 @@ def test_max_semiregular_closes_on_the_catalog_at_analyze_budgets():
 
 def test_max_semiregular_returns_at_the_bound_before_the_walks(monkeypatch):
     # a best cyclic order that meets the prime-part bound is returned before
-    # the cyclic-subgroup and conjugacy-root walks, so the root conjugators
-    # are never reduced
+    # the search, so no semiregular image is built by conjugation
     def fail(*args):
-        raise AssertionError("reduce_generators called")
+        raise AssertionError("semiregular_images called")
 
-    monkeypatch.setattr(semireg, "reduce_generators", fail)
+    monkeypatch.setattr(semireg.ElementCensus, "semiregular_images", fail)
     b = Budgets()
     for name in ("A7:7", "PSp4(3):36"):
         G = catalog_load(name).group
@@ -412,7 +417,7 @@ def test_max_semiregular_cyclic_answer_is_the_first_element_of_largest_order():
         r = max_semiregular_order(G, b.elements, b.nodes)
         if r.nodes:
             continue
-        census = element_census(G, b.elements).semiregular_images()
+        census = tuple(element_census(G, b.elements).semiregular_images())
         if not census:
             assert r.witness.order == 1, rec["name"]
             continue
@@ -434,6 +439,97 @@ def test_max_semiregular_searches_from_every_conjugacy_class_root():
     r = max_semiregular_order(G)
     assert r.optimal and r.witness.order == 12
     validate_semiregular(r.witness, G.degree)
+
+
+# 2-generated groups that are not in the catalog: order 1536 on 12 points, and
+# a subgroup of S3 wr S4 in which a child of the first root is the cyclic
+# subgroup of a later root, which the search must expand as that root
+GENERATED = {
+    "order-1536": [(10, 11, 3, 2, 6, 7, 5, 4, 9, 8, 0, 1), (4, 5, 7, 6, 8, 9, 10, 11, 0, 1, 2, 3)],
+    "S3wrS4-subgroup": [(7, 8, 6, 10, 9, 11, 0, 1, 2, 4, 5, 3),
+                        (3, 5, 4, 0, 2, 1, 8, 7, 6, 10, 9, 11)],
+}
+
+
+@pytest.mark.parametrize("name, order, nodes", [
+    ("A4:4", 4, 1), ("S4:6", 6, 3), ("Q8:8", 8, 4), ("PSL2(7):8", 8, 10),
+    ("PSL2(11):12", 12, 25), ("PSU3(3):36", 3, 27), ("A8:8", 8, 204),
+    ("PSp4(3):40", 20, 655), ("M12:12", 12, 1010),
+    ("order-1536", 12, 440), ("S3wrS4-subgroup", 6, 637),
+])
+def test_max_semiregular_search_order_and_nodes_are_pinned(name, order, nodes):
+    # the search's visiting order shows in its node count
+    b = Budgets()
+    G = PermGroup(GENERATED[name]) if name in GENERATED else catalog_load(name).group
+    r = max_semiregular_order(G, b.elements, b.nodes)
+    assert (r.witness.order, r.nodes) == (order, nodes)
+    assert r.optimal
+    validate_semiregular(r.witness, G.degree)
+
+
+def test_max_semiregular_reads_the_images_lazily(monkeypatch):
+    # PSp4(3):40 has 8,694 semiregular images; its search meets the bound
+    # inside the first root's candidate loop, having read fewer than 1,000
+    images = semireg.ElementCensus.semiregular_images
+    read = []
+
+    def counted(self):
+        for x in images(self):
+            read.append(x)
+            yield x
+
+    monkeypatch.setattr(semireg.ElementCensus, "semiregular_images", counted)
+    b = Budgets()
+    r = max_semiregular_order(catalog_load("PSp4(3):40").group, b.elements, b.nodes)
+    assert (r.witness.order, r.nodes, r.semiregular_element_count) == (20, 655, 8_694)
+    assert 0 < len(read) < 1_000
+    assert read == sorted(read)
+
+
+def test_element_census_of_a_large_regular_group_stays_small():
+    # C_800 has 799 one-point suborbits, whose identity conjugators share one
+    # tuple: the kept census is about its 799 elements, 5.4 MB measured
+    G = cyclic(800)
+    G.order()
+    G.base_stabilizer()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        census = element_census.__wrapped__(G, G.order())
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert census.derangements == census.semiregular_count == 799
+    assert kept < 8_000_000, kept
+
+
+def _load_corpus_tool():
+    path = Path(__file__).resolve().parent.parent / "tools" / "semireg_corpus.py"
+    spec = importlib.util.spec_from_file_location("semireg_corpus", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return path, module
+
+
+def test_semireg_corpus_seed_has_no_mismatch():
+    path, _ = _load_corpus_tool()
+    out = subprocess.run([sys.executable, str(path), "1"], capture_output=True, text=True,
+                         timeout=300)
+    assert out.returncode == 0, out.stdout + out.stderr
+    searched = re.search(r"seed 1: 150 groups, (\d+) reached the search, 0 mismatches",
+                         out.stdout)
+    assert searched and int(searched.group(1)) > 0, out.stdout
+
+
+def test_semireg_corpus_prints_the_generators_of_a_mismatch(monkeypatch, capsys):
+    _, corpus = _load_corpus_tool()
+    monkeypatch.setattr(corpus, "exhaustive_max_semiregular", lambda G: 0)
+    ambients = {n: corpus.ambient_groups(n) for n in range(4, 11)}
+    assert corpus.run_seed(1, 3, ambients) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 4 and all("generators [[" in line for line in lines[:3])
+    assert corpus.main(["1", "--groups", "1"]) == 1
 
 
 @pytest.mark.parametrize("d, p, forced", [
