@@ -577,24 +577,37 @@ def max_semiregular_order(G: PermGroup,
     # stream is drawn once, and only as far as the furthest reader
     cyclic, = tee(_cyclic_subgroups(census.semiregular_images(), identity), 1)
     conjugators = [(g.images, inverse(g).images) for g in G.generators]
-    visited: set[frozenset[tuple[int, ...]]] = set()
+    # every element the search meets is stored once, in ``elements``, and a
+    # node is keyed by the sorted indices of its elements, the identity's 0 first
+    ids = {identity: 0}
+    elements = [identity]
+
+    def intern(elems: list[tuple[int, ...]]) -> tuple[int, ...]:
+        for x in elems:
+            if x not in ids:
+                ids[x] = len(elements)
+                elements.append(x)
+        return tuple(sorted(map(ids.__getitem__, elems)))
+
+    visited: set[tuple[int, ...]] = set()
     queue: deque = deque()
 
     def frontier():
-        # (generators, elements with the identity first, candidates) of each node
+        # (generators, key, candidates) of each node
         superseded = set()
         for p, elems in _roots(copy(cyclic), conjugators, identity):
-            key = frozenset(elems)
+            key = intern(elems)
             if key in visited:  # a child of an earlier root, searched as this root instead
                 superseded.add(key)
             visited.add(key)
-            yield [p], elems, (q for q, _ in copy(cyclic))
+            yield [p], key, (q for q, _ in copy(cyclic))
         while queue:
-            gens, elems, key, candidates = queue.popleft()
+            gens, key, candidates = queue.popleft()
             if key not in superseded:
-                yield gens, elems, candidates
+                yield gens, key, candidates
 
-    for gens, elems, candidates in frontier():
+    for gens, key, candidates in frontier():
+        elems = list(map(elements.__getitem__, key))
         members = set(elems)
         label = _orbit_labels(elems)
         joinable: list[tuple[int, ...]] = []
@@ -609,11 +622,11 @@ def max_semiregular_order(G: PermGroup,
             if joined is None:
                 continue
             joinable.append(q)
-            key = frozenset(joined)
-            if key in visited:
+            child = intern(joined)
+            if child in visited:
                 continue
-            visited.add(key)
-            children.append((gens + [q], joined, key))
+            visited.add(child)
+            children.append((gens + [q], child))
             if len(joined) > best.order:
                 best = SemiregularWitness(G.name, [Permutation(g) for g in gens + [q]],
                                           len(joined), "backtrack")
