@@ -8,17 +8,20 @@ each pair of points), built once per vertex list; a row is built on first
 use and no |G| x |G| matrix is ever stored.
 
 The certificate validators stay independent of the searches: they use
-neither ``_LazyAdjacency`` nor the search functions nor ``oracles``. Each
-builds its own point masks from the certificate's vertices alone and ORs,
-for every vertex, the masks of its n (point, image) pairs into the set of
-vertices it agrees with somewhere; that is O(m * n) big-int ORs for m
-vertices, not a pairwise scan.
+neither ``_LazyAdjacency`` nor the search functions nor ``oracles``, and
+read the certificate's vertices alone. The clique check runs point by
+point: a set of permutations is a clique exactly when no value repeats at
+any point, so it needs one small dict per point and no bitset. The
+coclique check keeps its point masks: it ORs, for every vertex, the masks
+of its n (point, image) pairs into the set of vertices it agrees with
+somewhere, O(m * n) big-int ORs for m vertices, not a pairwise scan.
 
 Searches operate on integer bitsets over an indexed vertex universe and are
 deterministic: vertices are indexed in lexicographic order of their image
 tuples and branching follows index order. There is one engine, a colouring
-branch and bound: ``max_clique`` runs it to the end, ``find_k_clique`` stops
-it at k vertices, and ``max_intersecting_family`` runs it on the complement.
+branch and bound over an explicit stack, so clique size meets no recursion
+limit: ``max_clique`` runs it to the end, ``find_k_clique`` stops it at k
+vertices, and ``max_intersecting_family`` runs it on the complement.
 All three read one split of G's elements into derangements and fixers, made
 from one sorted walk and kept for the latest group only.
 """
@@ -138,74 +141,61 @@ def _check_vertices(verts: list[Permutation], G: PermGroup | None,
         raise CertificateError("clique certificate must contain the identity")
 
 
-def _agreements(verts: list[Permutation]):
-    """Yield agree_i for each vertex i in order: the bitset of certificate
-    vertices that agree with vertex i at some point, bit i included.
-
-    Built from the certificate alone: masks[(x, y)] is the bitset of vertices
-    v with v(x) = y, and agree_i is the OR of vertex i's n masks, so a
-    certificate of m vertices costs O(m * n) big-int ORs.
-    """
-    masks: dict[tuple[int, int], int] = {}
-    for j, v in enumerate(verts):
-        bit = 1 << j
-        for xy in enumerate(v.images):
-            masks[xy] = masks.get(xy, 0) | bit
-    for v in verts:
-        agree = 0
-        for xy in enumerate(v.images):
-            agree |= masks[xy]
-        yield agree
-
-
-def _lowest_bit(bits: int) -> int:
-    return (bits & -bits).bit_length() - 1
-
-
 def validate_clique(cert: CliqueCertificate, G: PermGroup | None = None,
                     require_identity: bool = True) -> None:
-    """Re-check a clique certificate from the definition.
+    """Re-check a clique certificate from the definition, one point at a time.
 
-    A clique needs agree_i == {i} for every vertex i (see ``_agreements``).
-    The error names the lowest extra j of the first failing i: that is the
-    first pair i < j that agrees at a point, since a j < i would have failed
-    at j already. Shares no logic with the searches or the oracles.
+    A set of permutations is a clique exactly when no value repeats at any
+    point. At each point the first vertex holding a value pairs with every
+    later holder j, and the error names the least such pair (i, j) over all
+    points. That is the least pair i < j that agrees somewhere: if i were
+    not the first holder at their common point, the first holder and i
+    would make a smaller pair. Shares no logic with the searches or the
+    oracles.
     """
     verts = cert.vertices
     _check_vertices(verts, G, require_identity)
-    for i, agree in enumerate(_agreements(verts)):
-        extra = agree & ~(1 << i)
-        if extra:
-            raise CertificateError(
-                f"vertices agree at a point: {verts[i]!r} vs {verts[_lowest_bit(extra)]!r}"
-            )
+    clashes = []
+    for column in zip(*(v.images for v in verts)):
+        first: dict[int, int] = {}
+        clashes += [(i, j) for j, y in enumerate(column) if (i := first.setdefault(y, j)) != j]
+    if clashes:
+        i, j = min(clashes)
+        raise CertificateError(f"vertices agree at a point: {verts[i]!r} vs {verts[j]!r}")
 
 
 def validate_coclique(cert: CocliqueCertificate, G: PermGroup | None = None) -> None:
     """Re-check an intersecting-family certificate from the definition.
 
-    A coclique needs agree_i to hold every vertex (see ``_agreements``). The
-    error names the lowest missing j of the first failing i: that is the
-    first pair i < j that disagrees everywhere, since a j < i would have
-    failed at j already. Shares no logic with the searches or the oracles.
+    masks[(x, y)] is the bitset of certificate vertices v with v(x) = y, so
+    the OR of vertex i's n masks is the set of vertices that agree with it
+    somewhere, and a coclique needs that set to hold every vertex: O(m * n)
+    big-int ORs for m vertices, not a pairwise scan. The error names the
+    lowest missing j of the first failing i: that is the first pair i < j
+    that disagrees everywhere, since a j < i would have failed at j
+    already. Shares no logic with the searches or the oracles.
     """
     verts = cert.vertices
     _check_vertices(verts, G)
+    masks: dict[tuple[int, int], int] = {}
+    for j, v in enumerate(verts):
+        bit = 1 << j
+        for xy in enumerate(v.images):
+            masks[xy] = masks.get(xy, 0) | bit
     full = (1 << len(verts)) - 1
-    for i, agree in enumerate(_agreements(verts)):
+    for v in verts:
+        agree = 0
+        for xy in enumerate(v.images):
+            agree |= masks[xy]
         missing = full & ~agree
         if missing:
             raise CertificateError(
-                f"non-intersecting pair in coclique: {verts[i]!r} vs "
-                f"{verts[_lowest_bit(missing)]!r}"
+                f"non-intersecting pair in coclique: {v!r} vs "
+                f"{verts[(missing & -missing).bit_length() - 1]!r}"
             )
 
 
 # -- bitset search engine -------------------------------------------------------
-
-
-class _BudgetExhausted(Exception):
-    pass
 
 
 class _LazyAdjacency:
@@ -252,58 +242,58 @@ def _max_clique_search(adj: _LazyAdjacency, node_budget: int,
 
     Returns (best vertex list, closed, nodes) where closed means the search
     space was exhausted rather than the node budget, and nodes counts the
-    calls of ``expand``, the one that broke the budget included. With
-    ``stop_at`` the search returns as soon as the best clique has that many
-    vertices; the clique it returns may be larger, since a branch runs on to
-    a maximal clique.
+    nodes opened, the one that broke the budget included. With ``stop_at``
+    the search returns as soon as the best clique has that many vertices;
+    the clique it returns may be larger, since a branch runs on to a
+    maximal clique.
+
+    The search is depth first over an explicit stack, so no clique size
+    meets a recursion limit. Each open node is a frame [P, coloured]: its
+    candidate set P and P's vertices with their colours, sorted when the
+    node opens and branched on from the last. A frame ends when that list
+    is empty, when the best clique meets ``stop_at``, or when the colour
+    bound shows that no branch can beat the best clique; the vertex that
+    opened it then leaves ``chosen`` and the parent's P.
     """
     best = list(initial or [])
     nodes = 0
-
-    def color_sort(P: int) -> list[tuple[int, int]]:
-        out = []
-        remaining = P
-        color = 0
-        while remaining:
-            color += 1
-            avail = remaining
-            while avail:
-                v = (avail & -avail).bit_length() - 1
-                out.append((v, color))
-                avail &= ~adj.row(v)
-                avail &= ~(1 << v)
-                remaining &= ~(1 << v)
-        return out
-
-    def expand(chosen: list[int], P: int) -> None:
-        nonlocal best, nodes
-        nodes += 1
-        if nodes > node_budget:
-            raise _BudgetExhausted
-        if stop_at is not None and len(best) >= stop_at:
-            return  # a warm start already at the ceiling needs no colour sort
-        ordered = color_sort(P)
-        while ordered:
-            v, c = ordered.pop()
-            if len(chosen) + c <= len(best):
-                return
-            if stop_at is not None and len(best) >= stop_at:
-                return
+    chosen: list[int] = []
+    stack: list[list] = [[adj.universe, None]]
+    row = adj.row
+    while stack:
+        frame = stack[-1]
+        P, coloured = frame
+        if coloured is None:
+            nodes += 1
+            if nodes > node_budget:
+                return best, False, nodes
+            coloured = frame[1] = []
+            # a warm start already at the ceiling needs no colour sort
+            remaining = P if stop_at is None or len(best) < stop_at else 0
+            colour = 0
+            while remaining:
+                colour += 1
+                avail = remaining
+                while avail:
+                    v = (avail & -avail).bit_length() - 1
+                    coloured.append((v, colour))
+                    avail &= ~(row(v) | 1 << v)
+                    remaining &= ~(1 << v)
+        if (coloured and len(chosen) + coloured[-1][1] > len(best)
+                and (stop_at is None or len(best) < stop_at)):
+            v = coloured.pop()[0]
             chosen.append(v)
-            newP = P & adj.row(v)
+            newP = P & row(v)
             if newP:
-                expand(chosen, newP)
-            elif len(chosen) > len(best):
+                stack.append([newP, None])
+                continue
+            if len(chosen) > len(best):
                 best = chosen.copy()
-            chosen.pop()
-            P &= ~(1 << v)
-
-    closed = True
-    try:
-        expand([], adj.universe)
-    except _BudgetExhausted:
-        closed = False
-    return best, closed, nodes
+        else:
+            stack.pop()
+        if chosen:
+            stack[-1][0] &= ~(1 << chosen.pop())
+    return best, True, nodes
 
 
 # -- public searches ------------------------------------------------------------
@@ -465,10 +455,6 @@ def density_bounds(G: PermGroup,
                              False, False, None, None, "unknown")
     rho_lower = Fraction(co.certificate.size, stab)
     rho_upper = Fraction(G.degree, cl.certificate.size)
-    if rho_lower > rho_upper:
-        raise CertificateError(
-            f"internal error: rho lower bound {rho_lower} exceeds upper bound {rho_upper}"
-        )
     clique_coclique_audit(cl.certificate, co.certificate, G)
     return DensityReport(G.name, G.degree, G.order(), stab,
                          co.certificate.size, cl.certificate.size,

@@ -209,14 +209,18 @@ class PermGroup:
             walk = _times_each(walk, transversal)
         return transversals[0], walk
 
-    def base_stabilizer(self) -> tuple[int, list[Permutation]]:
-        """(the first base point b0, generators of its stabilizer G_{b0}).
+    def base_stabilizer(self) -> tuple[int, list[Permutation], dict[int, tuple[int, ...]]]:
+        """(b0, generators of its stabilizer G_{b0}, inverses of the level-0 transversal).
 
-        b0 is the least point that G moves. The generators are the strong
-        generators filed below level 0. G must move some point.
+        b0 is the first base point, the least point that G moves. The
+        generators are the strong generators filed below level 0. The
+        inverses map each point x of b0's orbit to the image tuple of u^-1,
+        u the transversal element with u[b0] == x; the dict is the chain's
+        own, to be read and not changed. G must move some point.
         """
         self._build_chain()
-        return self._chain[0].base, self._strong_gens_at(1)
+        level = self._chain[0]
+        return level.base, self._strong_gens_at(1), level.inverses
 
     def iter_images(self, budget: int = DEFAULT_ELEMENT_BUDGET):
         """Yield each element's image tuple exactly once, streamed off the chain.

@@ -257,7 +257,8 @@ def element_census(G: PermGroup, element_budget: int) -> ElementCensus:
     ``base_cosets``) gives every D_r as {u_r∘p : p in G_a}, u_r the
     transversal element with u_r[a] == r. u_r∘p fixes i exactly when
     p[i] == u_r^-1[i], so only the derangements among them are built and
-    get the cycle-length test.
+    get the cycle-length test. The chain already holds every u_r^-1, and
+    ``base_stabilizer`` passes them out.
 
     Raises BudgetError when |G| exceeds the budget. Only the latest group's
     census is kept: a larger cache would hold the semiregular elements of
@@ -266,9 +267,9 @@ def element_census(G: PermGroup, element_budget: int) -> ElementCensus:
     transversal, walk = G.base_cosets(element_budget)
     if G.order() == 1:
         return ElementCensus(0, {}, ())
-    a, stabilizer = G.base_stabilizer()
+    a, stabilizer, inverses = G.base_stabilizer()
     n = G.degree
-    at = {u[a]: Permutation._trusted(u) for u in transversal}
+    at = {u[a]: u for u in transversal}
 
     # the suborbits, each from its least point r: D_r's representative, its
     # inverse, the suborbit's size, D_r's semiregular elements; and one
@@ -280,7 +281,7 @@ def element_census(G: PermGroup, element_budget: int) -> ElementCensus:
         if r not in seen:
             found = orbit_transversal(r, stabilizer, n)
             seen.update(found)
-            cosets.append((at[r].images, inverse(at[r]).images, len(found), []))
+            cosets.append((at[r], inverses[r], len(found), []))
             conjugators.append((r, ((identity, identity),
                                     *((h.images, inverse(h).images)
                                       for j, h in found.items() if j != r))))

@@ -437,3 +437,37 @@ def test_validate_coclique_a8_stabilizer_family():
     with pytest.raises(CertificateError) as exc:
         validate_coclique(CocliqueCertificate([d] + family[1:]))
     assert str(exc.value) == f"non-intersecting pair in coclique: {d!r} vs {family[j]!r}"
+
+
+# (size, optimal, nodes) of max_clique, then of max_intersecting_family given
+# that clique's size: a change in the engine's visiting order moves them
+@pytest.mark.parametrize("name, clique, family", [
+    ("A5:6", (4, True, 6), (10, True, 12)),
+    ("S6:6", (6, True, 5), (120, True, 1)),
+    ("A7:7", (7, True, 6), (360, True, 1)),
+    ("PSL2(11):12", (12, True, 11), (55, True, 1)),
+    ("A8:8", (8, True, 7), (2520, True, 1)),
+])
+def test_clique_engine_node_counts_are_pinned(name, clique, family):
+    G = catalog_load(name).group
+    cl = max_clique(G)
+    assert (cl.certificate.size, cl.optimal, cl.nodes) == clique
+    co = max_intersecting_family(G, clique_size_hint=cl.certificate.size)
+    assert (co.certificate.size, co.optimal, co.nodes) == family
+
+
+@pytest.mark.parametrize("name, expected", [
+    ("A5:6", [("found", 3), ("none", 6)]),
+    ("PSU3(3):36", [("found", 13), ("found", 13)]),
+])
+def test_find_k_clique_node_counts_are_pinned(name, expected):
+    G = catalog_load(name).group
+    assert [(r.status, r.nodes) for r in (find_k_clique(G, k, 2000) for k in (4, 5))] == expected
+
+
+def test_clique_engine_budget_exits_are_pinned():
+    # the node that breaks the budget counts, and the best so far is returned
+    cl = max_clique(catalog_load("PSU3(3):36").group, 500)
+    assert (cl.certificate.size, cl.optimal, cl.nodes) == (16, False, 501)
+    co = max_intersecting_family(catalog_load("A5:6").group, 5)
+    assert (co.certificate.size, co.optimal, co.nodes) == (10, False, 6)

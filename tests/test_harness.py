@@ -1,10 +1,14 @@
 import importlib.util
 import itertools
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import drg
 from drg.catalog import catalog_index, catalog_load, data_dir
 from drg.checks import (
     Budgets,
@@ -406,6 +410,33 @@ def test_cli_corpus(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "C5:5" in out
+
+
+def test_cli_corpus_on_a_regular_group_of_degree_1000(tmp_path):
+    # C_1000's regular subgroup is a 1,000-vertex clique, deeper than Python's
+    # default recursion limit; the scan peaked at about 229 MB RSS (Linux)
+    n = 1000
+    (tmp_path / "c1000.json").write_text(json.dumps(
+        {"name": "C1000", "degree": n, "generators": [[(i + 1) % n for i in range(n)]]}))
+    (tmp_path / "a5_6.json").write_text((data_dir() / "a5_6.json").read_text())
+    # the peak is read inside the child: RUSAGE_CHILDREN here would be the
+    # largest over every child the suite has reaped
+    code = ("import resource, sys\n"
+            "from drg.cli import main\n"
+            f"rc = main(['corpus', {str(tmp_path)!r}, '--json'])\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+            "sys.exit(rc)\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(drg.__file__).resolve().parent.parent)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=120)
+    assert out.returncode == 0, out.stderr[-2000:]
+    rows = {row["name"]: row for row in json.loads(out.stdout)["rows"]}
+    assert sorted(rows) == ["A5:6", "C1000"]
+    assert all(row["integrity"] == "ok" for row in rows.values())
+    density = rows["C1000"]["density"]
+    assert density["rho_lower"] == density["rho_upper"] == "1"
+    peak_kb = int(out.stderr.split()[-1])  # ru_maxrss is in KB on Linux
+    assert peak_kb < 320 * 1024, peak_kb
 
 
 def test_cli_corpus_missing_directory(tmp_path, capsys):
