@@ -35,6 +35,7 @@ from .graph import (
     DEFAULT_NODE_BUDGET,
     CliqueCertificate,
     CocliqueCertificate,
+    DensityReport,
     are_adjacent,
     clique_coclique_audit,
     density_bounds,
@@ -44,7 +45,7 @@ from .graph import (
     validate_clique,
 )
 from .group import (DEFAULT_DEGREE_BUDGET, DEFAULT_ELEMENT_BUDGET, BudgetError, PermGroup,
-                    blocks_and_primitivity, coset_action)
+                    blocks_and_primitivity, close_subgroup, coset_action)
 from .numth import (
     cyclotomic_value,
     divisors,
@@ -654,6 +655,31 @@ def _check_oracle_equivalence(budgets: Budgets):
 # -- analyze and corpus scanning ---------------------------------------------------
 
 
+def _semiregular_clique(G: PermGroup, witness: SemiregularWitness) -> CliqueCertificate:
+    """The elements of a semiregular witness subgroup, as a validated clique.
+
+    Two of its elements differ by a non-identity element of a semiregular
+    group, which is a derangement. Its order is at most n, the closure's cap.
+    """
+    cert = CliqueCertificate(close_subgroup(witness.generators, G.degree, G.degree))
+    validate_clique(cert, G)
+    return cert
+
+
+def _closed_density(G: PermGroup) -> dict:
+    """The density report of a transitive G holding an n-clique: rho = 1.
+
+    Two members of a clique differ at point 0, so omega <= n, and an
+    n-clique is maximum. A point stabilizer is an intersecting family, and
+    alpha * omega <= |G| (Godsil-Meagher 2016), so alpha = |G_x|. The
+    stabilizer is never enumerated.
+    """
+    stab = G.stabilizer_order()
+    one = Fraction(1)
+    return DensityReport(G.name, G.degree, G.order(), stab, stab, G.degree,
+                         True, True, one, one, "ok").to_json_dict()
+
+
 def analyze(source: str | Path | GroupFile, budgets: Budgets | None = None,
             deep: bool = False) -> dict:
     """Full deterministic report for one group (file path or catalog name).
@@ -663,6 +689,12 @@ def analyze(source: str | Path | GroupFile, budgets: Budgets | None = None,
     ladder tries k = 4, 3, 2 and stops at the first k found: by the greedy
     prefix or the exact search when G can be enumerated, by sampling (and
     None when no sample gives a 2-clique) when it cannot.
+
+    The largest semiregular subgroup found is a clique too. Of order n it
+    closes the density at rho = 1 with no search, at any group order;
+    otherwise the exact searches run up to order 5000 (any order with
+    ``deep``), and above it the report is partial, its clique the larger of
+    the ladder's and the witness's.
     """
     budgets = budgets or Budgets()
     gf = source if isinstance(source, GroupFile) else resolve_group(source)
@@ -695,7 +727,10 @@ def analyze(source: str | Path | GroupFile, budgets: Budgets | None = None,
         report["max_semiregular_order"] = r.witness.order
         report["max_semiregular_method"] = r.witness.method
         report["max_semiregular_closed"] = r.optimal
-        if deep or G.order() <= 5000:
+        best_clique = max(report["clique_lower_bound"], _semiregular_clique(G, r.witness).size)
+        if best_clique == G.degree:
+            report["density"] = _closed_density(G)
+        elif deep or G.order() <= 5000:
             report["density"] = density_bounds(G, budgets.nodes, budgets.elements).to_json_dict()
     else:
         report["derangement_count"] = None
@@ -705,19 +740,19 @@ def analyze(source: str | Path | GroupFile, budgets: Budgets | None = None,
         report["clique_lower_bound_method"] = "sampled"
         report["max_semiregular_order"] = None
         report["max_semiregular_closed"] = False
+        best_clique = report["clique_lower_bound"]
 
     if "density" in report:
         return report
     # without the exact searches, certificate-backed partial bounds: the
     # clique caps rho from above, the stabilizer coclique bounds it from
     # below; never fabricated
-    ladder = report["clique_lower_bound"]
-    if ladder:
+    if best_clique:
         report["density"] = {
             "status": "partial",
             "rho_lower": "1",
-            "rho_upper": str(Fraction(G.degree, ladder)),
-            "best_clique": ladder,
+            "rho_upper": str(Fraction(G.degree, best_clique)),
+            "best_clique": best_clique,
             "clique_optimal": False,
             "coclique_optimal": False,
         }

@@ -234,7 +234,8 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("analyze", help="full report for a group file or catalog name")
     p.add_argument("group")
-    p.add_argument("--deep", action="store_true", help="include density bounds")
+    p.add_argument("--deep", action="store_true",
+                   help="run the exact density searches above order 5000 too")
     _add_budget_flags(p)
     p.set_defaults(fn=cmd_analyze)
 

@@ -442,7 +442,11 @@ class DensityReport:
 def density_bounds(G: PermGroup,
                    node_budget: int = DEFAULT_NODE_BUDGET,
                    element_budget: int = DEFAULT_ELEMENT_BUDGET) -> DensityReport:
-    """Two-sided intersection density bounds with embedded certificates."""
+    """Two-sided intersection density bounds with embedded certificates.
+
+    rho lies in [alpha / |G_x|, n / omega] for the best coclique and clique
+    found; when the coclique search closes, alpha is exact and so is rho.
+    """
     if not G.is_transitive():
         raise PermError("density bounds need a transitive group")
     stab = G.stabilizer_order()
@@ -454,7 +458,9 @@ def density_bounds(G: PermGroup,
         return DensityReport(G.name, G.degree, G.order(), stab, None, None,
                              False, False, None, None, "unknown")
     rho_lower = Fraction(co.certificate.size, stab)
-    rho_upper = Fraction(G.degree, cl.certificate.size)
+    # a closed coclique search makes alpha exact, so rho = alpha / |G_x|; the
+    # audit's product bound keeps that at or below n / omega
+    rho_upper = rho_lower if co.optimal else Fraction(G.degree, cl.certificate.size)
     clique_coclique_audit(cl.certificate, co.certificate, G)
     return DensityReport(G.name, G.degree, G.order(), stab,
                          co.certificate.size, cl.certificate.size,

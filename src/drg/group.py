@@ -448,12 +448,24 @@ def minimal_block_system(G: PermGroup, seed_pair: tuple[int, int]) -> BlockSyste
 
 
 def blocks_and_primitivity(G: PermGroup) -> tuple[list[BlockSystem], bool]:
-    """All minimal nontrivial block systems from seeds {0, a}, deduplicated."""
+    """All minimal nontrivial block systems from seeds {0, a}, deduplicated.
+
+    Only the least point a of each G_0-orbit is seeded. The partition
+    B(0, a) is G-invariant, so any h in G_0 maps it onto itself and also
+    onto B(0, h(a)): every other seed of the orbit gives the system its
+    least point gave first, and the systems come out as from all n - 1
+    seeds, in the same order.
+    """
     if not G.is_transitive():
         raise PermError("blocks_and_primitivity requires a transitive group")
     systems = []
     seen = set()
-    for a in range(1, G.degree):
+    if G.degree < 2:
+        return systems, True
+    # G moves every point, so its chain opens at 0; orbits() lists each orbit
+    # sorted, and the first is {0}
+    stabilizer = PermGroup(G.base_stabilizer()[1], G.degree)
+    for a in (orbit[0] for orbit in stabilizer.orbits()[1:]):
         sys_a = minimal_block_system(G, (0, a))
         if 1 < sys_a.num_blocks < G.degree and sys_a not in seen:
             seen.add(sys_a)

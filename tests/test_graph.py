@@ -264,6 +264,19 @@ def test_density_sym3():
     assert rep.status == "ok"
 
 
+def test_density_closed_coclique_search_closes_rho():
+    # A5:6 has omega = 4 < n, but its closed coclique search gives
+    # alpha = 10 = |G_x|, so rho = 1 exactly, not the interval [1, 3/2]
+    rep = density_bounds(catalog_load("A5:6").group)
+    assert (rep.best_clique, rep.best_coclique, rep.stabilizer_order) == (4, 10, 10)
+    assert rep.clique_optimal and rep.coclique_optimal
+    assert rep.rho_lower == rep.rho_upper == Fraction(1)
+    # an open coclique search leaves the clique's bound n / omega
+    rep = density_bounds(catalog_load("A5:10").group, node_budget=1)
+    assert not rep.coclique_optimal
+    assert rep.rho_upper == Fraction(10, rep.best_clique)
+
+
 def test_density_rho_upper_triangle():
     for G in (sym(3), sym(4), alt(5), cyclic(6)):
         rep = density_bounds(G)

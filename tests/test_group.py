@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from drg.group import (
     close_subgroup,
     coset_action,
     group_from_generators,
+    minimal_block_system,
     reduce_generators,
     trivial_group,
 )
@@ -160,43 +162,98 @@ def test_blocks_cyclic4():
             assert sys_.is_invariant_under(g)
 
 
+def all_block_systems(G):
+    """Every nontrivial block system of G, by brute force over the
+    equal-size partitions (small degrees only)."""
+    n = G.degree
+    found = []
+    for size in range(2, n):
+        if n % size:
+            continue
+        # partitions of 0..n-1 into blocks of given size, block containing 0 first
+        def partitions(remaining):
+            if not remaining:
+                yield []
+                return
+            first = min(remaining)
+            for rest in itertools.combinations(sorted(remaining - {first}), size - 1):
+                blk = {first, *rest}
+                for tail in partitions(remaining - blk):
+                    yield [blk] + tail
+
+        for part in partitions(set(range(n))):
+            block_of = [0] * n
+            for i, blk in enumerate(part):
+                for x in blk:
+                    block_of[x] = i
+            sys_ = BlockSystem(block_of)
+            if all(sys_.is_invariant_under(g) for g in G.generators):
+                found.append(sys_)
+    return found
+
+
 def test_blocks_brute_force_small():
     # compare against brute force over all equal-size partitions for degree <= 6
-    import itertools
-
-    def all_block_systems(G):
-        n = G.degree
-        found = []
-        for size in range(2, n):
-            if n % size:
-                continue
-            # partitions of 0..n-1 into blocks of given size, block containing 0 first
-            def partitions(remaining):
-                if not remaining:
-                    yield []
-                    return
-                first = min(remaining)
-                for rest in itertools.combinations(sorted(remaining - {first}), size - 1):
-                    blk = {first, *rest}
-                    for tail in partitions(remaining - blk):
-                        yield [blk] + tail
-
-            for part in partitions(set(range(n))):
-                block_of = [0] * n
-                for i, blk in enumerate(part):
-                    for x in blk:
-                        block_of[x] = i
-                sys_ = BlockSystem(block_of)
-                if all(sys_.is_invariant_under(g) for g in G.generators):
-                    found.append(sys_)
-        return found
-
     for G in (cyclic(4), cyclic(6), sym(4), alt(5), PermGroup([parse_cycles("(0,1,2,3)", 4), parse_cycles("(1,3)", 4)])):
         brute = all_block_systems(G)
         systems, primitive = blocks_and_primitivity(G)
         assert primitive == (not brute)
         for sys_ in systems:
             assert sys_ in brute
+
+
+def _full_block_scan(G):
+    """The systems B(0, a) for every a = 1 .. n-1, first occurrences in order."""
+    systems = []
+    for a in range(1, G.degree):
+        sys_a = minimal_block_system(G, (0, a))
+        if 1 < sys_a.num_blocks < G.degree and sys_a not in systems:
+            systems.append(sys_a)
+    return systems
+
+
+def _random_imprimitive_group(rng, k, m):
+    """A transitive subgroup of S_k wr S_m on k * m points, relabelled at random."""
+    n = k * m
+    relabel = list(range(n))
+    rng.shuffle(relabel)
+    while True:
+        gens = []
+        for _ in range(rng.randrange(1, 4)):
+            top = list(range(m))
+            rng.shuffle(top)
+            images = [0] * n
+            for b in range(m):
+                inner = list(range(k))
+                rng.shuffle(inner)
+                for i in range(k):
+                    images[b * k + i] = top[b] * k + inner[i]
+            # the relabelled generator x -> relabel[images[relabel^-1[x]]]
+            moved = [0] * n
+            for x in range(n):
+                moved[relabel[x]] = relabel[images[x]]
+            gens.append(Permutation(moved))
+        G = PermGroup(gens, n)
+        if G.is_transitive():
+            return G
+
+
+def test_block_systems_from_stabilizer_orbit_seeds_match_the_full_scan():
+    # one seed per G_0-orbit gives the systems of all n - 1 seeds, in order
+    for rec in catalog_index():
+        G = catalog_load(rec["name"]).group
+        if G.is_transitive():
+            assert blocks_and_primitivity(G)[0] == _full_block_scan(G), rec["name"]
+    rng = random.Random(23)
+    for _ in range(60):
+        k, m = rng.choice([(2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (3, 3), (2, 6), (3, 4), (4, 4)])
+        G = _random_imprimitive_group(rng, k, m)
+        systems, primitive = blocks_and_primitivity(G)
+        assert systems == _full_block_scan(G), [g.images for g in G.generators]
+        if G.degree <= 9:
+            brute = all_block_systems(G)
+            assert brute and not primitive
+            assert all(sys_ in brute for sys_ in systems)
 
 
 def test_alt5_primitive():
