@@ -206,7 +206,7 @@ def _stabilizer_coclique(G: PermGroup) -> CocliqueCertificate:
     a coclique. The caller validates it once, with membership, in
     ``clique_coclique_audit``.
     """
-    walk = G.base_cosets(G.order())[1]
+    walk = G.level_transversals(1, G.order())[1]
     return CocliqueCertificate(list(map(Permutation._trusted,
                                         islice(walk, _AUDIT_COCLIQUE_CAP))))
 

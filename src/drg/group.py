@@ -6,9 +6,10 @@ any generator moves; later ones are chosen greedily as the smallest point
 moved by a remaining strong generator. All bookkeeping iterates points in
 increasing order, so two builds from the same generator list agree element
 for element. Every enumeration of the group reads one walk off the chain,
-``base_cosets``: the level-0 transversal and a walk of the base point's
-stabilizer, whose products u∘p are the elements. ``iter_images`` streams
-those products.
+``level_transversals``: the transversals of the first few levels and a walk
+of the stabilizer of their base points, whose products are the elements.
+``iter_images`` streams the products u∘p of the level-0 transversal and the
+walk of the first base point's stabilizer.
 
 A coset action keys each coset H r by its lexicographically least image
 tuple, read off a compressed trie of H's sorted image tuples with one choice
@@ -187,15 +188,18 @@ class PermGroup:
     def __contains__(self, p: Permutation) -> bool:
         return self.membership(p)
 
-    def base_cosets(self, budget: int = DEFAULT_ELEMENT_BUDGET):
-        """(level-0 transversal images sorted by point, walk of the base stabilizer).
+    def level_transversals(self, depth: int, budget: int = DEFAULT_ELEMENT_BUDGET):
+        """(the first ``depth`` chain levels' transversals, a walk of the stabilizer below).
 
-        The walk streams each element p of G_{b0} once, off the deeper levels
-        of the chain. Every element of G is u∘p, the image tuple
-        ``tuple(map(u.__getitem__, p))``, for exactly one such pair. A caller
-        can test u∘p for fixed points before building it: u∘p fixes i
-        exactly when p[i] == u^-1[i]. Raises BudgetError at once when |G|
-        exceeds the budget.
+        Each transversal lists its level's image tuples u sorted by the point
+        u sends the level's base point to; a level past the chain's end is the
+        identity alone. The walk streams each element p of the pointwise
+        stabilizer of the first ``depth`` base points once, off the deeper
+        levels. Every element of G is u_0∘...∘u_{depth-1}∘p, the image tuple
+        with i -> u_0[...u_{depth-1}[p[i]]], for exactly one choice of one u
+        per transversal and one p. A caller can test such a product for fixed
+        points before building it: u_0∘q fixes i exactly when q[i] ==
+        u_0^-1[i]. Raises BudgetError at once when |G| exceeds the budget.
         """
         if self.order() > budget:
             raise BudgetError(
@@ -203,11 +207,12 @@ class PermGroup:
             )
         identity = tuple(range(self.degree))
         transversals = [[level.transversal[x].images for x in sorted(level.transversal)]
-                        for level in self._chain] or [[identity]]
+                        for level in self._chain]
+        transversals += [[identity]] * (depth - len(transversals))
         walk = [identity]
-        for transversal in reversed(transversals[1:]):
+        for transversal in reversed(transversals[depth:]):
             walk = _times_each(walk, transversal)
-        return transversals[0], walk
+        return transversals[:depth], walk
 
     def base_stabilizer(self) -> tuple[int, list[Permutation], dict[int, tuple[int, ...]]]:
         """(b0, generators of its stabilizer G_{b0}, inverses of the level-0 transversal).
@@ -226,11 +231,11 @@ class PermGroup:
         """Yield each element's image tuple exactly once, streamed off the chain.
 
         An element factors as (deeper levels) then u_i, so the walk runs from
-        the deepest level and varies the base level fastest: each coset of
-        ``base_cosets`` in turn. The budget check, like the walk, runs on the
-        first request for an element.
+        the deepest level and varies the base level fastest: each product u∘p
+        of ``level_transversals(1)`` in turn. The budget check, like the walk,
+        runs on the first request for an element.
         """
-        transversal, walk = self.base_cosets(budget)
+        (transversal,), walk = self.level_transversals(1, budget)
         yield from _times_each(walk, transversal)
 
     def elements(self, budget: int = DEFAULT_ELEMENT_BUDGET):

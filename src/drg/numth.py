@@ -171,15 +171,21 @@ def sylvester_prime(m: int, ell: int) -> int:
     """Largest prime p > ell dividing m(m-1)...(m-ell+1).
 
     Requires all ell consecutive factors to exceed ell, i.e. m - ell + 1 > ell;
-    existence is then guaranteed.
+    existence is then guaranteed. The window m-ell+1..m is shorter than any
+    p > ell, so it holds a multiple of p, and p divides the product, exactly
+    when m mod p < ell: the answer is the first such prime scanning down
+    from m. That scan walks the whole gap from m to the answer, which for a
+    short window can be about m / 2 (m = 2p, ell = 1), so it stops after
+    about 64 window lengths and factors the ell numbers of the window instead.
     """
     if ell < 1 or m - ell + 1 <= ell:
         raise ValueError(f"need m - ell + 1 > ell >= 1, got m={m}, ell={ell}")
-    best = 0
-    for k in range(m - ell + 1, m + 1):
-        for p in factorize(k):
-            if p > ell and p > best:
-                best = p
+    stop = max(ell, m - 64 * (ell + 1))
+    for p in range(m, stop, -1):
+        if m % p < ell and is_prime(p):
+            return p
+    best = max((p for k in range(m - ell + 1, m + 1) for p in factorize(k)
+                if p > ell), default=0)
     assert best > ell, "Sylvester's theorem guarantees a prime here"
     return best
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -86,33 +87,37 @@ def test_analyze_deterministic():
 
 
 def test_analyze_enumerates_each_group_once(monkeypatch):
-    # every enumeration, the census's and iter_images's, walks base_cosets;
-    # each coset the walk yields stands for one element per transversal entry
+    # every enumeration, the census's and iter_images's, walks
+    # level_transversals; each element the walk yields stands for one
+    # element per choice of a transversal entry at each level above it
     G = catalog_load("M12:12").group
-    base_cosets = PermGroup.base_cosets
+    level_transversals = PermGroup.level_transversals
     yielded = 0
 
     def counted(self, *args, **kwargs):
-        transversal, walk = base_cosets(self, *args, **kwargs)
+        transversals, walk = level_transversals(self, *args, **kwargs)
+        above = prod(map(len, transversals))
 
         def counted_walk():
             nonlocal yielded
             for p in walk:
-                yielded += len(transversal)
+                yielded += above
                 yield p
 
-        return transversal, counted_walk()
+        return transversals, counted_walk()
 
-    monkeypatch.setattr(PermGroup, "base_cosets", counted)
+    monkeypatch.setattr(PermGroup, "level_transversals", counted)
     analyze("M12:12")
-    # one census pass, plus the short derangement prefixes of the greedy cliques
+    # one census pass, plus the short derangement prefixes of the greedy
+    # cliques; the lower bound holds only if the census walk was counted
     assert G.order() <= yielded < 1.1 * G.order()
 
 
 def test_analyze_a9_36_census_walks_one_coset_per_suborbit(monkeypatch):
     # A9 on 2-subsets has rank 3 and |G_a| = 5040: the census tests the two
-    # cosets D_r, one per suborbit of G_a, and walks the cycles of at most
-    # their 10,080 elements, not of G's 78,092 derangements
+    # cosets D_r, one per suborbit of G_a, and walks the cycles of their
+    # 4,348 derangements only, not of all their 10,080 elements nor of G's
+    # 78,092 derangements
     import drg.semireg
 
     assert catalog_load("A9:36").group.stabilizer_order() == 5040
@@ -127,7 +132,7 @@ def test_analyze_a9_36_census_walks_one_coset_per_suborbit(monkeypatch):
     monkeypatch.setattr(drg.semireg, "common_cycle_length", counted)
     rep = analyze("A9:36")
     assert rep["derangement_count"] == 78_092
-    assert 0 < calls <= 5040 * 2
+    assert calls == 4348
 
 
 def test_analyze_matches_the_benchmark_reference_on_the_catalog():

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from dataclasses import replace
 from math import gcd, prod
 
@@ -115,6 +116,24 @@ def test_sylvester_exhaustive_existence():
                 assert p > ell
                 window = prod(range(m - ell + 1, m + 1))
                 assert window % p == 0
+
+
+def test_sylvester_matches_definition():
+    # the downward scan against the largest prime factor > ell of the product
+    for m in range(2, 120):
+        for ell in range(1, m):
+            if m - ell + 1 > ell:
+                window = prod(range(m - ell + 1, m + 1))
+                want = max(p for p in factorize(window) if p > ell)
+                assert sylvester_prime(m, ell) == want, (m, ell)
+
+
+def test_sylvester_short_window_far_below_m():
+    # the answer lies about m / 2 below m: the scan gives up and the window is factored
+    start = time.perf_counter()
+    assert sylvester_prime(2 * 1000000007, 1) == 1000000007
+    assert sylvester_prime(2 ** 40, 1) == 2
+    assert time.perf_counter() - start < 1.0
 
 
 def test_bertrand_examples():

@@ -292,6 +292,35 @@ def test_element_census_matches_definition_on_catalog():
     assert checked >= 30
 
 
+def _affine_line(p):
+    """AGL1(p) on Z_p: x -> x + 1 and x -> 2x."""
+    return PermGroup([[(x + 1) % p for x in range(p)], [2 * x % p for x in range(p)]],
+                     name=f"AGL1({p})")
+
+
+def _dihedral(n):
+    """D_n on Z_n: x -> x + 1 and x -> -x."""
+    return PermGroup([[(x + 1) % n for x in range(n)], [-x % n for x in range(n)]],
+                     name=f"D{n}")
+
+
+@pytest.mark.parametrize("G, level1, suborbits", [
+    # G_0 = Z_101^*, regular on the other points: one coset, masks of 100 bits
+    (_affine_line(101), 100, 1),
+    # G_0 = {1, x -> -x}: two-element masks, one suborbit {r, -r} per pair
+    (_dihedral(60), 2, 30),
+    (sym(6), 5, 1),
+    # S4 on {0..3} times S3 on {4, 5, 6}: G_0 moves the second orbit
+    (PermGroup([parse_cycles(c, 7) for c in ("(0,1)", "(0,1,2,3)", "(4,5)", "(4,5,6)")]),
+     3, 1),
+], ids=["AGL1(101)", "D60", "S6", "S4xS3"])
+def test_element_census_matches_definition_on_other_shapes(G, level1, suborbits):
+    (_, transversal), _ = G.level_transversals(2, G.order())
+    assert len(transversal) == level1
+    assert len(element_census.__wrapped__(G, G.order()).suborbits) == suborbits
+    _assert_census_matches_definition(G, G.name)
+
+
 def _random_subgroups(seed, count):
     """Subgroups of S_n, 2 <= n <= 8, each generated by 1 to 3 random
     permutations of random subsets of at least two points."""
@@ -487,7 +516,8 @@ def test_max_semiregular_reads_the_images_lazily(monkeypatch):
 
 def test_element_census_of_a_large_regular_group_stays_small():
     # C_800 has 799 one-point suborbits, whose identity conjugators share one
-    # tuple: the kept census is about its 799 elements, 5.4 MB measured
+    # tuple, and each D_r = {u_r} keeps the chain's own u_r: the kept census
+    # is 0.23 MB measured, a census that copied its 799 elements 5.4 MB
     G = cyclic(800)
     G.order()
     G.base_stabilizer()
@@ -504,8 +534,8 @@ def test_element_census_of_a_large_regular_group_stays_small():
 
 
 def test_element_census_of_a_large_regular_group_peaks_small():
-    # the suborbit representatives' inverses come from the chain, not from a
-    # fresh 800-tuple each: the peak stays near the kept census, 5.7 MB measured
+    # the suborbit representatives and their inverses come from the chain,
+    # not from a fresh 800-tuple each: the peak is 0.55 MB measured
     G = cyclic(800)
     G.order()
     gc.collect()
@@ -517,6 +547,36 @@ def test_element_census_of_a_large_regular_group_peaks_small():
         tracemalloc.stop()
     assert census.derangements == census.semiregular_count == 799
     assert peak < 8_000_000, peak
+
+
+def _pairs_times_cyclic(k, m):
+    """C_2^k swapping the pairs {2i, 2i+1}, times C_m rotating the m points above them."""
+    n = 2 * k + m
+    gens = [[2 * i + 1 - x % 2 if x // 2 == i else x for x in range(n)] for i in range(k)]
+    gens.append(list(range(2 * k)) + [2 * k + (x + 1) % m for x in range(m)])
+    return PermGroup(gens, name=f"C2^{k}xC{m}")
+
+
+def test_element_census_of_an_intransitive_group_rewalks_a_wide_stabilizer():
+    # a = 0 and b = 2, so G_{a,b} = C_2^6 x C_50 has 3,200 elements on 66 points,
+    # past the listing threshold: a census that listed that walk peaks near
+    # 1.9 MB, one that walks it again off the chain per coset at 0.04 MB measured
+    G = _pairs_times_cyclic(8, 50)
+    (_, level1), _ = G.level_transversals(2, G.order())
+    assert len(level1) == 2
+    assert G.order() // (2 * 2) * G.degree > semireg._LISTED_WALK_ENTRIES
+    G.base_stabilizer()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        census = element_census.__wrapped__(G, G.order())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # every pair swapped and a nontrivial rotation; the half turn is semiregular
+    assert census.derangements == 49 and list(census.by_order) == [2]
+    assert peak < 1_000_000, peak
+    _assert_census_matches_definition(G, G.name)
 
 
 def _load_corpus_tool():
