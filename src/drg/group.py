@@ -132,11 +132,16 @@ class PermGroup:
     def _verify_level(self, i: int) -> int | None:
         """Sift all Schreier generators of level i.
 
-        Returns the level at which a missing strong generator was filed, or
-        None if the level is complete.
+        The Schreier generators u_x·g·u_{x^g}^-1, x in the level's orbit,
+        generate its point stabilizer whenever the g generate the level's
+        group (Schreier's lemma; Seress, *Permutation Group Algorithms*,
+        2003, §4.1). Level 0's group is G, so there g runs over G's own
+        generators; deeper levels use their strong generators. Returns the
+        level at which a missing strong generator was filed, or None if the
+        level is complete.
         """
         level = self._chain[i]
-        gens = [g.images for g in self._strong_gens_at(i)]
+        gens = [g.images for g in (self.generators if i == 0 else self._strong_gens_at(i))]
         identity = tuple(range(self.degree))
         for x in sorted(level.transversal):
             ux = level.transversal[x].images

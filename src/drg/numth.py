@@ -64,6 +64,7 @@ def primes_up_to(limit: int) -> list[int]:
 _TRIAL_PRIMES: list[int] = []
 _PM1_BOUND = 20_000
 _PM1_POWERS: list[int] = []  # p^k <= _PM1_BOUND for each prime p, k maximal
+_SHORT_RHO_STEPS = 1 << 12
 
 
 def _pollard_pm1(n: int) -> int | None:
@@ -79,16 +80,26 @@ def _pollard_pm1(n: int) -> int | None:
     return g if 1 < g < n else None
 
 
-def _pollard_rho(n: int) -> int:
-    """A nontrivial factor of composite odd n (Brent's cycle variant)."""
+def _pollard_rho(n: int, max_steps: int | None = None) -> int | None:
+    """A nontrivial factor of composite odd n (Brent's cycle variant).
+
+    Tries the maps x -> x^2 + c for c = 1, 2, ... until one gives a factor.
+    Given ``max_steps``, tries c = 1 alone, comparing at most that many
+    pairs of iterates (about twice as many steps of the map), and returns
+    None if it finds no factor.
+    """
     if n % 2 == 0:
         return 2
-    seed = 1
+    seed = 0
     while True:
         seed += 1
         y, c, m = seed, seed, 256
         g = r = q = 1
+        steps = 0
         while g == 1:
+            steps += r
+            if max_steps is not None and steps > max_steps:
+                return None
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -108,12 +119,18 @@ def _pollard_rho(n: int) -> int:
                 g = gcd(x - ys, n)
         if g != n:
             return g
+        if max_steps is not None:
+            return None
 
 
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization as {prime: exponent}.
 
-    Trial division, then Pollard p-1, then Brent's rho for what remains.
+    Trial division by the primes below 1000. Each cofactor that is neither
+    below 10^6, prime nor a square is then split by the first of: a short
+    run of Brent's rho (one map, at most ``_SHORT_RHO_STEPS`` comparisons),
+    which finds most prime factors below about 10^7; Pollard p-1, which
+    finds a prime factor p with p - 1 smooth; Brent's rho run to the end.
     """
     if n < 1:
         raise ValueError("factorize needs a positive integer")
@@ -138,7 +155,7 @@ def factorize(n: int) -> dict[int, int]:
         if root * root == m:
             stack.extend([root, root])
             continue
-        d = _pollard_pm1(m) or _pollard_rho(m)
+        d = _pollard_rho(m, _SHORT_RHO_STEPS) or _pollard_pm1(m) or _pollard_rho(m)
         stack.extend([d, m // d])
     return dict(sorted(out.items()))
 

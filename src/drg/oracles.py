@@ -3,7 +3,7 @@
 These share no search logic with the production code: cliques and cocliques
 go through Bron-Kerbosch with pivoting on explicit adjacency bitsets, group
 order through a plain breadth-first closure, and the semiregular maximum
-through a walk of the subgroup lattice up to the degree. They are meant for
+through a walk of the subgroup lattice below the degree. They are meant for
 groups of order a few hundred.
 
 Each exhaustive search stops at a proven ceiling, never below the answer:
@@ -15,13 +15,14 @@ Each exhaustive search stops at a proven ceiling, never below the answer:
   (the clique-coclique bound; Godsil-Meagher, *Erdos-Ko-Rado Theorems:
   Algebraic Approaches*, 2016). The translates hC, h in G, cover each vertex
   |C| times, and each meets a coclique in at most one vertex.
-- a semiregular subgroup has order at most n: its orbits are regular, so its
-  order divides n. The lattice walk closes only joins that can fit under
-  that ceiling: for g outside H the join of H and <g> strictly contains H,
-  so by Lagrange its order is a multiple of lcm(|H|, ord g) and a proper
-  multiple of |H|, at least max(lcm(|H|, ord g), 2|H|); a join with that
-  above n is skipped unclosed. The skip uses orders alone, never
-  semiregularity.
+- a semiregular subgroup has order dividing n: its orbits are regular. Its
+  subgroups are semiregular too, so the lattice walk visits only subgroups
+  and cyclic subgroups of order dividing n, and closes a join of H with a
+  cyclic Z only under the largest order it can have there: a divisor d of
+  n with d > |H|, lcm(|H|, |Z|) dividing d (Lagrange) and
+  d >= |H||Z| / |H meet Z| (the product formula). A join with no such d is
+  skipped unclosed. The skips read orders and element sets alone, never
+  fixed points.
 """
 
 from __future__ import annotations
@@ -123,8 +124,12 @@ def exhaustive_max_coclique(G: PermGroup) -> int:
     return len(_bron_kerbosch(co_adj, order, ceiling=order // len(clique)))
 
 
-def _cyclic_generators(images: list[tuple[int, ...]]) -> list[tuple[Permutation, int]]:
-    """(least generator, order) of each non-trivial cyclic subgroup, from sorted images."""
+def _cyclic_subgroups(images: list[tuple[int, ...]], n: int) -> list[tuple[Permutation, frozenset]]:
+    """(least generator, element set) of each non-trivial cyclic subgroup of order dividing n.
+
+    The images must be sorted: then the first generator met of each cyclic
+    subgroup is its least one.
+    """
     identity = images[0]
     covered = set()
     out = []
@@ -136,48 +141,78 @@ def _cyclic_generators(images: list[tuple[int, ...]]) -> list[tuple[Permutation,
             powers.append(tuple(g[i] for i in powers[-1]))
         order = len(powers)
         covered.update(powers[k - 1] for k in range(1, order) if gcd(k, order) == 1)
-        out.append((Permutation(g), order))
+        if n % order == 0:
+            out.append((Permutation(g), frozenset(powers)))
     return out
 
 
-def exhaustive_max_semiregular(G: PermGroup) -> int:
-    """Largest semiregular subgroup by walking the whole subgroup lattice.
+def _join_cap(H: frozenset, Z: frozenset, divisors: list[int]) -> int | None:
+    """The largest order a semiregular join of H and Z could have, or None.
 
-    Every subgroup of order at most the degree is visited via join closure
-    with one cyclic subgroup at a time, through its least generator (the join
-    depends only on the cyclic subgroup), closed from the generators of the
-    path that reached the subgroup. A join whose order Lagrange already puts
-    above n is skipped, since its closure would exceed the cap: with g
-    outside H the join's order is a multiple of lcm(|H|, ord g) and of |H|
-    exceeding |H|, so max(lcm(|H|, ord g), 2|H|) > n rules it out. Each
-    newly closed subgroup is tested for semiregularity from the
-    definition; the walk stops at one of order n, the degree, since a
-    semiregular subgroup's orbits are regular and so its order divides n.
+    With Z not inside H, the join's order is a multiple of lcm(|H|, |Z|)
+    exceeding |H| (Lagrange), and at least |H||Z| / |H meet Z|, the size of
+    the product set HZ; a semiregular join's order also divides n. So the
+    cap is the largest of the ``divisors`` of n that Lagrange allows,
+    provided it is at least |HZ|.
+    """
+    h, z = len(H), len(Z)
+    step = lcm(h, z)
+    cap = max((d for d in divisors if d > h and d % step == 0), default=None)
+    if cap is None or cap * len(H & Z) < h * z:
+        return None
+    return cap
+
+
+def exhaustive_max_semiregular(G: PermGroup) -> int:
+    """Largest semiregular subgroup by walking the subgroup lattice below the degree.
+
+    The walk joins one cyclic subgroup of order dividing n at a time,
+    through its least generator (the join depends only on the cyclic
+    subgroup), closed from the generators of the path that reached the
+    subgroup, and keeps the joins of order dividing n. Every semiregular
+    subgroup is reached, through a chain of its own subgroups, which are
+    semiregular too. A join is closed under the cap ``_join_cap`` gives it
+    and skipped when there is none; two cyclic subgroups are joined in one
+    order only, the later one to the earlier. Each newly reached subgroup
+    is tested for semiregularity from the definition; the walk stops at
+    one of order n, the degree.
     """
     n = G.degree
-    cyclic_gens = _cyclic_generators(G.element_images())
+    divisors = [d for d in range(2, n + 1) if n % d == 0]
+    cyclic = _cyclic_subgroups(G.element_images(), n)
     identity = tuple(range(n))
-    trivial = frozenset({identity})
-    seen = {trivial}
-    frontier = [(trivial, [])]
+
+    def semiregular(H: frozenset) -> bool:
+        return all(t == identity or all(i != j for i, j in enumerate(t)) for t in H)
+
     best = 1
-    while frontier:
+    seen = set()
+    # (subgroup, path of generators, first cyclic subgroup to join it with)
+    frontier = []
+    for i, (g, Z) in enumerate(cyclic):
+        seen.add(Z)
+        frontier.append((Z, [g], i + 1))
+        if len(Z) > best and semiregular(Z):
+            best = len(Z)
+    while frontier and best < n:
         new = []
-        for H, gens in frontier:
-            for g, order in cyclic_gens:
-                if g.images in H or max(lcm(len(H), order), 2 * len(H)) > n:
+        for H, gens, start in frontier:
+            for g, Z in cyclic[start:]:
+                if g.images in H:
+                    continue
+                cap = _join_cap(H, Z, divisors)
+                if cap is None:
                     continue
                 path = gens + [g]
-                closed = close_subgroup(path, n, n)
-                if closed is None:
+                closed = close_subgroup(path, n, cap)
+                if closed is None or n % len(closed):
                     continue
                 key = frozenset(p.images for p in closed)
                 if key in seen:
                     continue
                 seen.add(key)
-                new.append((key, path))
-                if len(key) > best and all(
-                        t == identity or all(i != j for i, j in enumerate(t)) for t in key):
+                new.append((key, path, 0))
+                if len(key) > best and semiregular(key):
                     best = len(key)
                     if best == n:
                         return n

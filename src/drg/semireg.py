@@ -63,7 +63,7 @@ from collections.abc import Iterator
 from copy import copy
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
-from itertools import repeat, tee
+from itertools import product, repeat, tee
 from math import gcd, lcm
 from operator import eq, itemgetter, or_
 
@@ -837,21 +837,17 @@ def product_action_order(h_list: list[Permutation], a: Permutation) -> int:
 
 
 def product_action_perm(h_list: list[Permutation], a: Permutation) -> Permutation:
-    """Materialize (h_1, ..., h_k)a as a permutation of Delta^k (small k only)."""
+    """Materialize (h_1, ..., h_k)a as a permutation of Delta^k (small k only).
+
+    Point t = (t_0, ..., t_{k-1}) has index sum of t_j * delta^(k-1-j), and
+    coordinate j of t lands at position a[j] as h_j[t_j]. The image index
+    is thus a sum of one term per coordinate, and the images, in the order
+    of the points, are the sums over the product of the coordinates' terms.
+    """
     delta = h_list[0].degree
     k = a.degree
-    a_inv = [0] * k
-    for i, j in enumerate(a.images):
-        a_inv[j] = i
-    points = [()]
-    for _ in range(k):
-        points = [t + (d,) for t in points for d in range(delta)]
-    index = {t: i for i, t in enumerate(points)}
-    images = []
-    for t in points:
-        image = tuple(h_list[a_inv[i]].images[t[a_inv[i]]] for i in range(k))
-        images.append(index[image])
-    return Permutation(images)
+    parts = [[v * delta ** (k - 1 - a.images[j]) for v in h_list[j].images] for j in range(k)]
+    return Permutation(map(sum, product(*parts)))
 
 
 def wreath_elusive_check(base: PermGroup, top: PermGroup,

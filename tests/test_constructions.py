@@ -141,6 +141,25 @@ def test_wreath_product_a5_c2():
     assert W.is_transitive()
 
 
+def test_m11_wr_c2_chain_sifts_schreier_generators_of_g_at_level_0(monkeypatch):
+    # level 0 sifts the Schreier generators of W's 5 generators only, not
+    # those of all its strong generators
+    from drg.catalog import catalog_load
+
+    W = wreath_product_action(WreathSpec(catalog_load("M11:12").group, cyclic_group(2)))
+    calls = 0
+    sift = PermGroup._sift_residue
+
+    def counting(self, p, start=0):
+        nonlocal calls
+        calls += 1
+        return sift(self, p, start)
+
+    monkeypatch.setattr(PermGroup, "_sift_residue", counting)
+    assert W.order() == 7920 ** 2 * 2
+    assert calls <= 1_306, calls
+
+
 def test_wreath_top_trivial():
     base = cyclic_group(3)
     top = PermGroup([Permutation.identity(1)], name="1")

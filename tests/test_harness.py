@@ -353,6 +353,22 @@ def test_semiregular_oracle_matches_the_benchmark_reference():
     assert pinned == 27 and len(oracle_rows) == 24
 
 
+def test_semiregular_oracle_closes_few_joins(monkeypatch):
+    # the walk's pruning by orders; 3,735 closures measured
+    calls = 0
+
+    def counting(gens, degree, cap):
+        nonlocal calls
+        calls += 1
+        return close_subgroup(gens, degree, cap)
+
+    monkeypatch.setattr(drg.oracles, "close_subgroup", counting)
+    for rec in catalog_index():
+        if rec["order"] <= 360:
+            exhaustive_max_semiregular(catalog_load(rec["name"]).group)
+    assert calls <= 3_990, calls
+
+
 def test_oracle_adjacency_rows_match_definition():
     for rec in catalog_index():
         if rec["order"] > 60:

@@ -6,7 +6,7 @@ from math import gcd, prod
 
 import pytest
 
-from drg import checks
+from drg import checks, numth
 from drg.checks import run_check
 from drg.numth import (
     PowerBudgetError,
@@ -70,6 +70,33 @@ def test_factorize_random_roundtrip():
 def test_factorize_big_semiprime():
     p, q = 1_000_003, 1_000_033
     assert factorize(p * q) == {p: 1, q: 1}
+
+
+def _random_prime(rng: random.Random, bits: int) -> int:
+    while True:
+        p = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
+        if is_prime(p):
+            return p
+
+
+def test_factorize_roundtrips_semiprimes_of_30_to_70_bits():
+    # cofactors the short rho splits, and ones left to p-1 and the full rho
+    rng = random.Random(26)
+    for bits in range(30, 71, 4):
+        for _ in range(3):
+            small = rng.randint(10, bits // 2)
+            p = _random_prime(rng, small)
+            q = _random_prime(rng, bits - small)
+            assert list(factorize(p * q).items()) == sorted({p: 1, q: 1}.items()), (p, q)
+
+
+def test_zsigmondy_table_check_runs_pollard_pm1_at_most_twice(monkeypatch):
+    # the short rho splits all but two of the table's hard cofactors
+    calls = []
+    pm1 = numth._pollard_pm1
+    monkeypatch.setattr(numth, "_pollard_pm1", lambda n: calls.append(n) or pm1(n))
+    assert run_check("numth-zsigmondy-table").verdict == "pass"
+    assert len(calls) <= 2, calls
 
 
 def test_radical():

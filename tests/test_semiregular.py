@@ -597,6 +597,17 @@ def test_semireg_corpus_seed_has_no_mismatch():
     assert searched and int(searched.group(1)) > 0, out.stdout
 
 
+def test_semiregular_oracle_matches_the_reference_walk_on_the_catalog():
+    _, corpus = _load_corpus_tool()
+    compared = 0
+    for rec in catalog_index():
+        if rec["order"] <= 360:
+            G = catalog_load(rec["name"]).group
+            assert exhaustive_max_semiregular(G) == corpus.reference_max_semiregular(G), G.name
+            compared += 1
+    assert compared == 24
+
+
 def test_semireg_corpus_prints_the_generators_of_a_mismatch(monkeypatch, capsys):
     _, corpus = _load_corpus_tool()
     monkeypatch.setattr(corpus, "exhaustive_max_semiregular", lambda G: 0)
@@ -778,6 +789,25 @@ def test_product_action_fpf_brute_force():
         big = product_action_perm(hs, a)
         assert fast == is_derangement(big)
         assert product_action_order(hs, a) == big.order()
+
+
+def test_product_action_perm_matches_the_coordinate_definition():
+    # point t of Delta^k has index sum t_j delta^(k-1-j); (h_1, ..., h_k)a
+    # puts h_j[t_j] at coordinate a[j]
+    rng = random.Random(26)
+    for _ in range(200):
+        delta = rng.randrange(1, 7)
+        kappa = rng.randrange(1, 4)
+        hs = [Permutation(rng.sample(range(delta), delta)) for _ in range(kappa)]
+        a = Permutation(rng.sample(range(kappa), kappa))
+        perm = product_action_perm(hs, a)
+        assert perm.degree == delta ** kappa
+        for index, t in enumerate(itertools.product(range(delta), repeat=kappa)):
+            image = [0] * kappa
+            for j, tj in enumerate(t):
+                image[a.images[j]] = hs[j].images[tj]
+            assert perm.images[index] == sum(
+                x * delta ** (kappa - 1 - i) for i, x in enumerate(image))
 
 
 def test_product_action_order_rejects_degree_mismatch():

@@ -4,7 +4,9 @@
 Draws random transitive groups of degree 4 to 10 and order at most 1,500,
 and compares ``semireg.max_semiregular_order`` with the subgroup-lattice
 oracle ``oracles.exhaustive_max_semiregular``: the orders must agree, the
-search must report itself closed, and its witness must re-validate.
+search must report itself closed, and its witness must re-validate. The
+oracle prunes its walk by orders, so it is compared in turn with
+``reference_max_semiregular``, the same walk without that pruning.
 
     python tools/semireg_corpus.py 1 2 3   # three seeds, 150 groups each
 
@@ -21,17 +23,70 @@ from __future__ import annotations
 import argparse
 import random
 import sys
+from math import gcd, lcm
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from drg.constructions import natural_sym
-from drg.group import PermGroup
+from drg.group import PermGroup, close_subgroup
 from drg.oracles import exhaustive_max_semiregular
+from drg.perm import Permutation
 from drg.semireg import WitnessError, max_semiregular_order, validate_semiregular
 
 MAX_ORDER = 1_500
 GROUPS = 150  # per seed
+
+
+def reference_max_semiregular(G: PermGroup) -> int:
+    """Largest semiregular subgroup by a walk of every subgroup of order at most n.
+
+    The oracle's walk before its pruning by orders: each subgroup is joined
+    with every cyclic subgroup, through its least generator, and a join is
+    skipped only when max(lcm(|H|, ord g), 2|H|) exceeds n, the degree; each
+    newly closed subgroup is tested for semiregularity from the definition,
+    and the walk stops at one of order n.
+    """
+    n = G.degree
+    images = G.element_images()
+    identity = images[0]
+    covered = set()
+    cyclic_gens = []
+    for g in images[1:]:
+        if g in covered:
+            continue
+        powers = [g]
+        while powers[-1] != identity:
+            powers.append(tuple(g[i] for i in powers[-1]))
+        order = len(powers)
+        covered.update(powers[k - 1] for k in range(1, order) if gcd(k, order) == 1)
+        cyclic_gens.append((Permutation(g), order))
+    trivial = frozenset({identity})
+    seen = {trivial}
+    frontier = [(trivial, [])]
+    best = 1
+    while frontier:
+        new = []
+        for H, gens in frontier:
+            for g, order in cyclic_gens:
+                if g.images in H or max(lcm(len(H), order), 2 * len(H)) > n:
+                    continue
+                path = gens + [g]
+                closed = close_subgroup(path, n, n)
+                if closed is None:
+                    continue
+                key = frozenset(p.images for p in closed)
+                if key in seen:
+                    continue
+                seen.add(key)
+                new.append((key, path))
+                if len(key) > best and all(
+                        t == identity or all(i != j for i, j in enumerate(t)) for t in key):
+                    best = len(key)
+                    if best == n:
+                        return n
+        frontier = new
+    return best
 
 
 def imprimitive_wreath(k: int, m: int) -> PermGroup:
@@ -73,9 +128,12 @@ def run_seed(seed: int, groups: int, ambients: dict[int, list[PermGroup]]) -> in
         G = draw(rng, ambients)
         result = max_semiregular_order(G)
         expected = exhaustive_max_semiregular(G)
+        reference = reference_max_semiregular(G)
         searched += result.nodes > 0
         problem = None
-        if result.witness.order != expected:
+        if expected != reference:
+            problem = f"oracle {expected}, reference walk {reference}"
+        elif result.witness.order != expected:
             problem = f"order {result.witness.order}, oracle {expected}"
         elif not result.optimal:
             problem = "search not closed"
