@@ -71,6 +71,21 @@ def orbit_transversal(x: int, gens, degree: int) -> dict[int, Permutation]:
     return transversal
 
 
+def _orbit_walk(x: int, gens: list[tuple[int, ...]], limit: int) -> list[int] | None:
+    """x's orbit under the image tuples gens, breadth first; None once it passes limit points."""
+    orbit = [x]
+    seen = {x}
+    for y in orbit:
+        for g in gens:
+            z = g[y]
+            if z not in seen:
+                seen.add(z)
+                orbit.append(z)
+        if len(orbit) > limit:
+            return None
+    return orbit
+
+
 def _times_each(walk, transversal: list[tuple[int, ...]]):
     """Each element of ``walk`` followed by each transversal element, in turn."""
     return (tuple(map(u.__getitem__, p)) for p in walk for u in transversal)
@@ -260,27 +275,19 @@ class PermGroup:
     def orbit(self, x: int) -> set[int]:
         if not 0 <= x < self.degree:
             raise PermError(f"point {x} out of range for degree {self.degree}")
-        seen = {x}
-        frontier = [x]
-        while frontier:
-            new_frontier = []
-            for y in frontier:
-                for g in self.generators:
-                    z = g.images[y]
-                    if z not in seen:
-                        seen.add(z)
-                        new_frontier.append(z)
-            frontier = new_frontier
-        return seen
+        return set(_orbit_walk(x, [g.images for g in self.generators], self.degree))
 
     def orbits(self) -> list[list[int]]:
-        remaining = set(range(self.degree))
+        """The orbits, each sorted, in the order of their least points."""
+        gens = [g.images for g in self.generators]
+        placed = [False] * self.degree
         out = []
-        while remaining:
-            x = min(remaining)
-            orb = self.orbit(x)
-            remaining -= orb
-            out.append(sorted(orb))
+        for x in range(self.degree):
+            if not placed[x]:
+                orb = sorted(_orbit_walk(x, gens, self.degree))
+                for y in orb:
+                    placed[y] = True
+                out.append(orb)
         return out
 
     def is_transitive(self) -> bool:
@@ -426,60 +433,46 @@ class BlockSystem:
         return hash(self.block_of)
 
 
-def minimal_block_system(G: PermGroup, seed_pair: tuple[int, int]) -> BlockSystem:
-    """Finest G-invariant partition merging the two seed points (union-find)."""
-    n = G.degree
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int) -> bool:
-        rx, ry = find(x), find(y)
-        if rx == ry:
-            return False
-        if rx > ry:
-            rx, ry = ry, rx
-        parent[ry] = rx
-        return True
-
-    queue = [seed_pair]
-    union(*seed_pair)
-    while queue:
-        x, y = queue.pop()
-        for g in G.generators:
-            gx, gy = g.images[x], g.images[y]
-            if union(gx, gy):
-                queue.append((gx, gy))
-    return BlockSystem([find(x) for x in range(n)])
-
-
 def blocks_and_primitivity(G: PermGroup) -> tuple[list[BlockSystem], bool]:
     """All minimal nontrivial block systems from seeds {0, a}, deduplicated.
 
-    Only the least point a of each G_0-orbit is seeded. The partition
-    B(0, a) is G-invariant, so any h in G_0 maps it onto itself and also
-    onto B(0, h(a)): every other seed of the orbit gives the system its
-    least point gave first, and the systems come out as from all n - 1
-    seeds, in the same order.
+    The blocks of the transitive G that hold 0 are the orbits 0^H of the
+    subgroups H with G_0 <= H <= G (Dixon-Mortimer, *Permutation Groups*,
+    1996, §1.5). So the finest block holding 0 and a is 0's orbit under
+    G_0's strong generators and u_a, the level-0 transversal element with
+    u_a[0] == a. A block's size divides n, so a walk past n/2 points is the
+    whole set, the trivial system, and is dropped. Otherwise the block
+    holding x is the block's image under u_x.
+
+    Only the least point a of each G_0-orbit is seeded: any h in G_0 maps
+    the finest block holding 0 and a onto the one holding 0 and h(a), and,
+    fixing 0, onto itself. So the systems come out as from all n - 1 seeds,
+    in the same order.
     """
     if not G.is_transitive():
         raise PermError("blocks_and_primitivity requires a transitive group")
+    n = G.degree
     systems = []
-    seen = set()
-    if G.degree < 2:
+    if n < 2:
         return systems, True
     # G moves every point, so its chain opens at 0; orbits() lists each orbit
     # sorted, and the first is {0}
-    stabilizer = PermGroup(G.base_stabilizer()[1], G.degree)
-    for a in (orbit[0] for orbit in stabilizer.orbits()[1:]):
-        sys_a = minimal_block_system(G, (0, a))
-        if 1 < sys_a.num_blocks < G.degree and sys_a not in seen:
-            seen.add(sys_a)
-            systems.append(sys_a)
+    _, stabilizer, _ = G.base_stabilizer()
+    transversal = G._chain[0].transversal
+    gens = [g.images for g in stabilizer]
+    seen = set()
+    for a in (orbit[0] for orbit in PermGroup(stabilizer, n).orbits()[1:]):
+        block = _orbit_walk(0, gens + [transversal[a].images], n // 2)
+        if block is None or frozenset(block) in seen:
+            continue
+        seen.add(frozenset(block))
+        block_of = [None] * n
+        for x in range(n):
+            if block_of[x] is None:
+                u = transversal[x].images
+                for y in block:
+                    block_of[u[y]] = x
+        systems.append(BlockSystem(block_of))
     return systems, not systems
 
 

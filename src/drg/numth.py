@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from math import gcd, isqrt, prod
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -293,15 +294,6 @@ def zsigmondy_exception_expected(q: int, t: int) -> bool:
     return (q, t) == (2, 6)
 
 
-def _mobius(n: int) -> int:
-    mu = 1
-    for _, e in factorize(n).items():
-        if e > 1:
-            return 0
-        mu = -mu
-    return mu
-
-
 def divisors(n: int) -> list[int]:
     fac = factorize(n)
     out = [1]
@@ -311,18 +303,25 @@ def divisors(n: int) -> list[int]:
 
 
 def cyclotomic_value(n: int, q: int) -> int:
-    """Phi_n(q), computed exactly via the Moebius product over divisors."""
+    """Phi_n(q), exactly, by the Moebius product over one factorization of n.
+
+    Phi_n(q) is the product of (q^(n/e) - 1)^mu(e) over e | n, and mu(e) is
+    0 unless e is squarefree, when it is -1 to the number of its primes. So
+    e runs over the products of the subsets of n's primes.
+    """
     if n < 1:
         raise ValueError("cyclotomic_value needs n >= 1")
     if q < 2:
         raise ValueError("cyclotomic_value needs q >= 2")
     num = den = 1
-    for d in divisors(n):
-        mu = _mobius(n // d)
-        if mu == 1:
-            num *= _checked_power(q, d) - 1
-        elif mu == -1:
-            den *= _checked_power(q, d) - 1
+    primes = list(factorize(n))
+    for k in range(len(primes) + 1):
+        for subset in combinations(primes, k):
+            term = _checked_power(q, n // prod(subset)) - 1
+            if k % 2:
+                den *= term
+            else:
+                num *= term
     assert num % den == 0
     return num // den
 

@@ -49,11 +49,12 @@ v's own K-orbit. So a coset's elements are built only once it has passed.
 
 Everything the search reads is built only as far as it reads it. The
 semiregular images stream in increasing order, one coset D_j at a time,
-conjugated from the census's D_r; the cyclic subgroups are drawn from that
-stream into one buffer that every reader shares; and a root's conjugacy
-class is fused only when the search asks for the next root. A search that
-meets its bound inside the first root's candidate loop, as most do, builds
-a small share of the images and fuses no class.
+conjugated from the census's D_r by elements of G_a built on the first
+read; the cyclic subgroups are drawn from that stream into one buffer that
+every reader shares; and a root's conjugacy class is fused only when the
+search asks for the next root. A search that meets its bound inside the
+first root's candidate loop, as most do, builds a small share of the
+images and fuses no class.
 """
 
 from __future__ import annotations
@@ -198,16 +199,13 @@ class ElusivenessReport:
 class Suborbit:
     """The semiregular elements of one coset D_r = {x in G : x[a] = r}.
 
-    ``point`` is r, and ``elements`` holds the non-identity semiregular image
-    tuples of D_r. They come in the order of G_a's walk: u_r∘t∘s for each s
-    of the walk of G_{a,b}, then each t of the level-1 transversal by
-    increasing point. ``conjugators`` holds one pair (h, h^-1) of
-    image tuples per point j = h[r] of r's G_a-orbit, h in G_a. r's own pair
-    comes first: the identity, one tuple that every suborbit shares.
+    ``point`` is r, the least point of its G_a-orbit, and ``elements`` holds
+    the non-identity semiregular image tuples of D_r. They come in the order
+    of G_a's walk: u_r∘t∘s for each s of the walk of G_{a,b}, then each t of
+    the level-1 transversal by increasing point.
     """
     point: int
     elements: tuple[tuple[int, ...], ...]
-    conjugators: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 
 
 @dataclass(frozen=True)
@@ -216,10 +214,13 @@ class ElementCensus:
 
     ``by_order[m]`` is (the number of non-identity semiregular elements of
     order m, the lexicographically least one), in increasing m.
+    ``stabilizer`` is G_a on its generators, which conjugate each D_r onto
+    the rest of its suborbit.
     """
     derangements: int
     by_order: dict[int, tuple[int, tuple[int, ...]]]
     suborbits: tuple[Suborbit, ...]
+    stabilizer: PermGroup | None = None
 
     @property
     def semiregular_count(self) -> int:
@@ -230,14 +231,17 @@ class ElementCensus:
 
         Every element fixes the points below a, so images first differ at a,
         and the coset D_j = {x : x[a] = j} comes whole before D_k for j < k.
-        D_j is h D_r h^-1 for the conjugator h with h[r] == j, y[h[i]] =
-        h[x[i]], so each coset is built and sorted only when the reader
-        reaches it.
+        D_j is h D_r h^-1 for h in G_a with h[r] == j, y[h[i]] = h[x[i]].
+        The conjugators h are the transversals of the suborbits that hold
+        semiregular elements, built on the first read; each h^-1 is built,
+        and each coset built and sorted, only when the reader reaches it.
         """
-        cosets = sorted((h[sub.point], h, h_inv, sub.elements)
+        S = self.stabilizer
+        cosets = sorted((j, h, sub.elements)
                         for sub in self.suborbits if sub.elements
-                        for h, h_inv in sub.conjugators)
-        for _, h, h_inv, elements in cosets:
+                        for j, h in orbit_transversal(sub.point, S.generators, S.degree).items())
+        for _, h, elements in cosets:
+            h, h_inv = h.images, inverse(h).images
             yield from sorted(tuple(map(h.__getitem__, map(x.__getitem__, h_inv)))
                               for x in elements)
 
@@ -252,11 +256,13 @@ def element_census(G: PermGroup, element_budget: int) -> ElementCensus:
     as many semiregular elements of each order. Every derangement lies in
     some D_j with j != a, so the counts are read off one coset D_r per
     suborbit (G_a-orbit of a point r != a in a's G-orbit), weighted by the
-    size of the suborbit. Each r is the least point of its suborbit. Every
-    element fixes the points below a, so image tuples first differ at a:
-    the least element of order m lies in the D_j with the least j that has
-    one, a union of suborbits, so that j is some r and every witness is the
-    least of its order in G, as in a scan of the whole group.
+    size of the suborbit. The suborbits are the orbits of G_a, on its strong
+    generators below level 0, and each r is the least point of its
+    suborbit. Every element fixes the points below a, so image tuples first
+    differ at a: the least element of order m lies in the D_j with the
+    least j that has one, a union of suborbits, so that j is some r and
+    every witness is the least of its order in G, as in a scan of the whole
+    group.
 
     a is the chain's first base point and b its second, so
     ``level_transversals(2)`` gives every D_r as {u_r∘t∘s}: u_r the level-0
@@ -274,7 +280,9 @@ def element_census(G: PermGroup, element_budget: int) -> ElementCensus:
     again off the chain for each coset, so a wide G_{a,b} on many points
     costs time, not memory. When G_a is trivial, D_r is {u_r}, tested as it
     is. The chain already holds every u_r^-1, and ``base_stabilizer`` passes
-    them out.
+    them out. No h in G_a is built here: the census keeps G_a's generators,
+    and ``ElementCensus.semiregular_images`` conjugates with them only when
+    it is read.
 
     Raises BudgetError when |G| exceeds the budget. Only the latest group's
     census is kept: a larger cache would hold the semiregular elements of
@@ -283,24 +291,14 @@ def element_census(G: PermGroup, element_budget: int) -> ElementCensus:
     (transversal, level1), walk = G.level_transversals(2, element_budget)
     if G.order() == 1:
         return ElementCensus(0, {}, ())
-    a, stabilizer, inverses = G.base_stabilizer()
+    a, gens, inverses = G.base_stabilizer()
     n = G.degree
     at = {u[a]: u for u in transversal}
 
-    # the suborbits, each from its least point r: D_r's representative, its
-    # inverse, the suborbit's size, D_r's semiregular elements; and one
-    # conjugator per point of the suborbit, r's own the shared identity
+    # the suborbits: the G_a-orbits in a's G-orbit but a's own, each sorted
     identity = tuple(range(n))
-    seen = {a}
-    cosets, conjugators = [], []
-    for r in sorted(at):
-        if r not in seen:
-            found = orbit_transversal(r, stabilizer, n)
-            seen.update(found)
-            cosets.append((at[r], inverses[r], len(found), []))
-            conjugators.append((r, ((identity, identity),
-                                    *((h.images, inverse(h).images)
-                                      for j, h in found.items() if j != r))))
+    stabilizer = PermGroup(gens, n)
+    orbits = [orbit for orbit in stabilizer.orbits() if orbit[0] in at and orbit[0] != a]
 
     if len(level1) > 1:
         # G_{a,b}'s walk is read once per coset: listed while its |G_{a,b}|·n
@@ -335,18 +333,18 @@ def element_census(G: PermGroup, element_budget: int) -> ElementCensus:
 
     count = 0
     by_order: dict[int, tuple[int, tuple[int, ...]]] = {}
-    for u, u_inv, weight, elements in cosets:
-        for x in derangements(u, u_inv):
+    suborbits = []
+    for orbit in orbits:  # D_r for the least point r of each, weighted by its size
+        r, weight, elements = orbit[0], len(orbit), []
+        for x in derangements(at[r], inverses[r]):
             count += weight
             m = common_cycle_length(x)
             if m is not None:
                 elements.append(x)
                 total, least = by_order.get(m, (0, x))
                 by_order[m] = (total + weight, min(least, x))
-
-    suborbits = tuple(Suborbit(r, tuple(elements), c)
-                      for (_, _, _, elements), (r, c) in zip(cosets, conjugators))
-    return ElementCensus(count, dict(sorted(by_order.items())), suborbits)
+        suborbits.append(Suborbit(r, tuple(elements)))
+    return ElementCensus(count, dict(sorted(by_order.items())), tuple(suborbits), stabilizer)
 
 
 def is_elusive(G: PermGroup,

@@ -13,7 +13,6 @@ from drg.group import (
     close_subgroup,
     coset_action,
     group_from_generators,
-    minimal_block_system,
     reduce_generators,
     trivial_group,
 )
@@ -202,6 +201,41 @@ def test_blocks_brute_force_small():
             assert sys_ in brute
 
 
+def minimal_block_system(G, seed_pair):
+    """Finest G-invariant partition merging the two seed points (union-find).
+
+    The reference for ``blocks_and_primitivity``, which reads the blocks off
+    the chain's first level instead.
+    """
+    n = G.degree
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(x, y):
+        rx, ry = find(x), find(y)
+        if rx == ry:
+            return False
+        if rx > ry:
+            rx, ry = ry, rx
+        parent[ry] = rx
+        return True
+
+    queue = [seed_pair]
+    union(*seed_pair)
+    while queue:
+        x, y = queue.pop()
+        for g in G.generators:
+            gx, gy = g.images[x], g.images[y]
+            if union(gx, gy):
+                queue.append((gx, gy))
+    return BlockSystem([find(x) for x in range(n)])
+
+
 def _full_block_scan(G):
     """The systems B(0, a) for every a = 1 .. n-1, first occurrences in order."""
     systems = []
@@ -254,6 +288,16 @@ def test_block_systems_from_stabilizer_orbit_seeds_match_the_full_scan():
             brute = all_block_systems(G)
             assert brute and not primitive
             assert all(sys_ in brute for sys_ in systems)
+    # the blocks of C_n and D_n holding 0 are the subgroups of Z_n, so one
+    # system per divisor d of n with 1 < d < n: 360 and 720 have 24 and 30
+    # divisors. C_n's stabilizer of 0 is trivial, D_n's has order 2: n - 1
+    # and n / 2 seeds
+    for n in (360, 720):
+        rotation, reflection = [(x + 1) % n for x in range(n)], [-x % n for x in range(n)]
+        for G in (PermGroup([rotation], n), PermGroup([rotation, reflection], n)):
+            systems, primitive = blocks_and_primitivity(G)
+            assert systems == _full_block_scan(G), (n, len(G.generators))
+            assert len(systems) == sum(n % d == 0 for d in range(2, n)) and not primitive
 
 
 def test_alt5_primitive():

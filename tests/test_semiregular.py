@@ -432,6 +432,25 @@ def test_max_semiregular_returns_at_the_bound_before_the_walks(monkeypatch):
         assert r.optimal and r.nodes == 0, name
 
 
+def test_census_builds_no_conjugator_until_the_images_are_read(monkeypatch):
+    # the census keeps G_a's generators, and a suborbit's transversal is
+    # built only when semiregular_images is read, which a search that meets
+    # its bound at once never does
+    def fail(*args):
+        raise AssertionError("orbit_transversal called")
+
+    monkeypatch.setattr(semireg, "orbit_transversal", fail)
+    b = Budgets()
+    for name in ("A7:7", "PSp4(3):36"):
+        G = catalog_load(name).group
+        census = element_census.__wrapped__(G, b.elements)
+        assert census.semiregular_count > 0 and census.suborbits, name
+        r = max_semiregular_order(G, b.elements, b.nodes)
+        assert r.optimal and r.nodes == 0, name
+        with pytest.raises(AssertionError, match="orbit_transversal"):
+            next(census.semiregular_images())
+
+
 def test_max_semiregular_cyclic_answer_is_the_first_element_of_largest_order():
     # without a search node, the witness is the first census element of the
     # largest order, computed here from common_cycle_length
@@ -515,9 +534,9 @@ def test_max_semiregular_reads_the_images_lazily(monkeypatch):
 
 
 def test_element_census_of_a_large_regular_group_stays_small():
-    # C_800 has 799 one-point suborbits, whose identity conjugators share one
-    # tuple, and each D_r = {u_r} keeps the chain's own u_r: the kept census
-    # is 0.23 MB measured, a census that copied its 799 elements 5.4 MB
+    # C_800 has 799 one-point suborbits, the census builds no conjugator for
+    # them, and each D_r = {u_r} keeps the chain's own u_r: the kept census
+    # is 0.16 MB measured, a census that copied its 799 elements 5.4 MB
     G = cyclic(800)
     G.order()
     G.base_stabilizer()
@@ -535,7 +554,7 @@ def test_element_census_of_a_large_regular_group_stays_small():
 
 def test_element_census_of_a_large_regular_group_peaks_small():
     # the suborbit representatives and their inverses come from the chain,
-    # not from a fresh 800-tuple each: the peak is 0.55 MB measured
+    # not from a fresh 800-tuple each: the peak is 0.33 MB measured
     G = cyclic(800)
     G.order()
     gc.collect()
