@@ -12,18 +12,24 @@ neither ``_LazyAdjacency`` nor the search functions nor ``oracles``, and
 read the certificate's vertices alone. The clique check runs point by
 point: a set of permutations is a clique exactly when no value repeats at
 any point, so it needs one small dict per point and no bitset. The
-coclique check keeps its point masks: it ORs, for every vertex, the masks
-of its n (point, image) pairs into the set of vertices it agrees with
-somewhere, O(m * n) big-int ORs for m vertices, not a pairwise scan.
+coclique check keeps point masks, one dict per point from image to
+bitset: it ORs, for every vertex, the masks of its n (point, image) pairs
+into the set of vertices it agrees with somewhere, O(m * n) big-int ORs
+for m vertices, not a pairwise scan.
 
 Searches operate on integer bitsets over an indexed vertex universe and are
 deterministic: vertices are indexed in lexicographic order of their image
 tuples and branching follows index order. There is one engine, a colouring
 branch and bound over an explicit stack, so clique size meets no recursion
 limit: ``max_clique`` runs it to the end, ``find_k_clique`` stops it at k
-vertices, and ``max_intersecting_family`` runs it on the complement.
-All three read one split of G's elements into derangements and fixers, made
-from one sorted walk and kept for the latest group only.
+vertices, and ``max_intersecting_family`` runs it on the complement. The
+clique searches read G's derangements alone (for S_n a share near 1/e of
+its elements), walked a coset at a time so that no element with a fixed
+point is built, and kept for the latest group only. The
+intersecting-family search needs the elements that fix a point only when
+it must search: once a clique of size n is known, the stabilizer of a
+point meets the clique-coclique bound alpha * omega <= |G| and is read off
+the group's stabilizer chain.
 """
 
 from __future__ import annotations
@@ -31,7 +37,8 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import or_
 from typing import ClassVar
 
 from .group import DEFAULT_ELEMENT_BUDGET, BudgetError, PermGroup
@@ -43,7 +50,6 @@ DEFAULT_NODE_BUDGET = 200_000
 @dataclass(frozen=True)
 class DerangementSet:
     images: tuple[tuple[int, ...], ...]  # the derangements, sorted
-    fixers: tuple[tuple[int, ...], ...]  # the other non-identity elements, sorted
 
     @property
     def count(self) -> int:
@@ -55,27 +61,25 @@ class DerangementSet:
 
 
 @lru_cache(maxsize=1)
-def _element_split(G: PermGroup, budget: int) -> DerangementSet:
-    """G's non-identity elements from one sorted walk, split by fixed points.
+def _derangements(G: PermGroup, budget: int) -> DerangementSet:
+    """G's derangements, sorted, from the derangements-only walk of ``element_images``.
 
-    Only the latest group's split is kept, as for ``element_census``: a larger
-    cache would hold every element of every group its callers keep alive.
+    Only the latest group's set is kept, as for ``element_census``: a larger
+    cache would hold the derangements of every group its callers keep alive.
     """
-    images, fixers = [], []
-    for t in G.element_images(budget)[1:]:  # the identity sorts first
-        (fixers if has_fixed_point(t) else images).append(t)
-    return DerangementSet(tuple(images), tuple(fixers))
+    return DerangementSet(tuple(G.element_images(budget, derangements=True)))
 
 
 def derangement_set(G: PermGroup, budget: int = DEFAULT_ELEMENT_BUDGET) -> DerangementSet:
     """All fixed-point-free elements of G (enumerated; needs order <= budget).
 
-    The set also carries the non-identity elements that fix a point. Both
-    come from one walk of G, kept until another group or budget is split.
+    They are walked a coset D_r = {x : x[a] = r} at a time, and no element
+    with a fixed point is built; the set is kept until another group or
+    budget asks.
     """
     if not G.is_transitive():
         raise PermError("derangement graphs are defined here for transitive groups")
-    return _element_split(G, budget)
+    return _derangements(G, budget)
 
 
 def are_adjacent(g: Permutation, h: Permutation) -> bool:
@@ -167,27 +171,25 @@ def validate_clique(cert: CliqueCertificate, G: PermGroup | None = None,
 def validate_coclique(cert: CocliqueCertificate, G: PermGroup | None = None) -> None:
     """Re-check an intersecting-family certificate from the definition.
 
-    masks[(x, y)] is the bitset of certificate vertices v with v(x) = y, so
-    the OR of vertex i's n masks is the set of vertices that agree with it
-    somewhere, and a coclique needs that set to hold every vertex: O(m * n)
-    big-int ORs for m vertices, not a pairwise scan. The error names the
-    lowest missing j of the first failing i: that is the first pair i < j
-    that disagrees everywhere, since a j < i would have failed at j
-    already. Shares no logic with the searches or the oracles.
+    masks[x][y] is the bitset of certificate vertices v with v(x) = y, one
+    dict per point, so the OR of vertex i's n masks is the set of vertices
+    that agree with it somewhere, and a coclique needs that set to hold
+    every vertex: O(m * n) big-int ORs for m vertices, not a pairwise scan.
+    The error names the lowest missing j of the first failing i: that is
+    the first pair i < j that disagrees everywhere, since a j < i would
+    have failed at j already. Shares no logic with the searches or the
+    oracles.
     """
     verts = cert.vertices
     _check_vertices(verts, G)
-    masks: dict[tuple[int, int], int] = {}
+    masks: list[dict[int, int]] = [{} for _ in range(verts[0].degree)]
     for j, v in enumerate(verts):
         bit = 1 << j
-        for xy in enumerate(v.images):
-            masks[xy] = masks.get(xy, 0) | bit
+        for mx, y in zip(masks, v.images):
+            mx[y] = mx.get(y, 0) | bit
     full = (1 << len(verts)) - 1
     for v in verts:
-        agree = 0
-        for xy in enumerate(v.images):
-            agree |= masks[xy]
-        missing = full & ~agree
+        missing = full & ~reduce(or_, map(dict.__getitem__, masks, v.images))
         if missing:
             raise CertificateError(
                 f"non-intersecting pair in coclique: {v!r} vs "
@@ -366,13 +368,23 @@ def max_intersecting_family(G: PermGroup,
     """Best intersecting family found, as a max clique of the complement graph.
 
     Rooted at the identity (lossless: translates of intersecting families are
-    intersecting), warm-started with the stabilizer of point 0. When a clique
-    of size w is known, alpha * w <= |G| closes the search early once the
-    family reaches |G| / w. The vertices are the non-identity elements that
-    fix a point, read from the same split as ``derangement_set`` (without its
-    transitivity check).
+    intersecting), warm-started with the stabilizer G_0 of point 0. When a
+    clique of size w is known, alpha * w <= |G| closes the search early once
+    the family reaches |G| / w. For a transitive G and w = n, G_0 already has
+    |G| / n elements: it is read off the chain's level-0 walk (0 is the first
+    base point of a transitive G) and returned sorted, the identity first,
+    as the one node the search would open at its root; no other element is
+    built. Otherwise the vertices are the non-identity elements that fix a
+    point, filtered from G's sorted elements.
     """
-    fixers = _element_split(G, element_budget).fixers
+    if clique_size_hint == G.degree and G.is_transitive():
+        _, stabilizer = G.level_transversals(1, element_budget)
+        cert = CocliqueCertificate([Permutation(t) for t in sorted(stabilizer)])
+        validate_coclique(cert)
+        return MaxSearchResult(cert, True, 1)
+
+    fixers = [t for t in G.element_images(element_budget)[1:]  # the identity sorts first
+              if has_fixed_point(t)]
     adj = _LazyAdjacency(fixers, complement=True)
     # the stabilizer of 0 is intersecting and pairwise-compatible, a valid seed
     initial = [i for i, t in enumerate(fixers) if t[0] == 0]

@@ -9,7 +9,10 @@ for element. Every enumeration of the group reads one walk off the chain,
 ``level_transversals``: the transversals of the first few levels and a walk
 of the stabilizer of their base points, whose products are the elements.
 ``iter_images`` streams the products u∘p of the level-0 transversal and the
-walk of the first base point's stabilizer.
+walk of the first base point's stabilizer. ``coset_derangements`` reads the
+same walk two levels deep and builds only the derangements, one coset
+D_r = {x : x[a] = r} of the first base point a at a time; the element
+census and the derangement graph both read it.
 
 A coset action keys each coset H r by its lexicographically least image
 tuple, read off a compressed trie of H's sorted image tuples with one choice
@@ -18,8 +21,9 @@ per branching node; ``CosetAction`` says why that choice is the least.
 
 from __future__ import annotations
 
-from itertools import groupby
-from operator import itemgetter
+from functools import reduce
+from itertools import groupby, repeat
+from operator import eq, itemgetter, or_
 
 from .perm import Permutation, PermError, compose, inverse
 
@@ -266,9 +270,19 @@ class PermGroup:
         """
         return map(Permutation._trusted, self.iter_images(budget))
 
-    def element_images(self, budget: int = DEFAULT_ELEMENT_BUDGET) -> list[tuple[int, ...]]:
-        """All elements as image tuples, sorted lexicographically."""
-        return sorted(self.iter_images(budget))
+    def element_images(self, budget: int = DEFAULT_ELEMENT_BUDGET,
+                       derangements: bool = False) -> list[tuple[int, ...]]:
+        """All elements as image tuples, sorted lexicographically.
+
+        With ``derangements`` only the fixed-point-free elements, read off
+        ``coset_derangements`` for every point r != a of the first base
+        point a's orbit, so no element with a fixed point is built. Raises
+        BudgetError at once when |G| exceeds the budget, in either form.
+        """
+        if not derangements:
+            return sorted(self.iter_images(budget))
+        points, deranged = coset_derangements(self, budget)
+        return sorted(x for r in points for x in deranged(r))
 
     # -- orbits and transitivity --------------------------------------------
 
@@ -326,6 +340,79 @@ class PermGroup:
                     seen.add(s.images)
                     schreier.append(s)
         return reduce_generators(schreier, self.degree, target)
+
+
+# -- derangements, a coset at a time -------------------------------------------
+
+# G_{a,b}'s walk is listed, |G_{a,b}|·n image entries, up to this size
+_LISTED_WALK_ENTRIES = 1 << 16
+
+
+def coset_derangements(G: PermGroup, budget: int = DEFAULT_ELEMENT_BUDGET):
+    """(the points r != a of a's orbit, increasing; r -> the derangements in D_r).
+
+    a is the chain's first base point, the least point G moves, and D_r =
+    {x in G : x[a] = r}; every derangement lies in one D_r with r != a.
+    With b the second base point, ``level_transversals(2)`` gives D_r as
+    {u_r∘t∘s}: u_r the level-0 transversal element with u_r[a] == r, t in
+    the level-1 transversal T of G_a and s in the walk of G_{a,b}. u_r∘t∘s
+    fixes i exactly when t[s[i]] == u_r^-1[i]. So for each point c a dict
+    maps each value v to the bitmask of the t in T with t[c] == v: n·|T|
+    entries, built once per call. The t that give u_r∘t∘s a fixed point are
+    then the OR over i of the masks at (s[i], u_r^-1[i]). Only the others
+    are built, as (u_r∘t)∘s: no element of G_a and no element with a fixed
+    point is built, and a coset's heads u_r∘t are dropped when it ends. A
+    coset's derangements come for each s of the walk, then each t by
+    increasing point.
+
+    G_{a,b}'s walk is read once per coset. It is listed, |G_{a,b}|·n
+    entries, only while that is at most ``_LISTED_WALK_ENTRIES`` (every
+    catalog group), and otherwise walked again off the chain for each
+    coset, so a wide G_{a,b} on many points costs time, not memory. When
+    G_a is trivial, D_r is {u_r}, tested as it is and yielded as the
+    chain's own tuple. The chain already holds every u_r^-1.
+
+    Raises BudgetError at once when |G| exceeds the budget. The trivial
+    group has no such point.
+    """
+    (transversal, level1), walk = G.level_transversals(2, budget)
+    if G.order() == 1:
+        return [], None
+    a, _, inverses = G.base_stabilizer()
+    at = {u[a]: u for u in transversal}  # the transversal comes sorted by u[a]
+    points = [r for r in at if r != a]
+
+    if len(level1) == 1:  # G_a is trivial
+        identity = tuple(range(G.degree))
+
+        def regular(r: int):
+            if not any(map(eq, at[r], identity)):
+                yield at[r]
+        return points, regular
+
+    small = G.order() // (len(transversal) * len(level1)) * G.degree <= _LISTED_WALK_ENTRIES
+    listed = list(walk) if small else None
+    # masks[c][v]: bit k set when level1[k][c] == v
+    masks: list[dict[int, int]] = [{} for _ in range(G.degree)]
+    for k, t in enumerate(level1):
+        for c, v in enumerate(t):
+            masks[c][v] = masks[c].get(v, 0) | 1 << k
+    every_t = (1 << len(level1)) - 1
+    times_level1 = [itemgetter(*t) for t in level1]  # u -> u∘t
+
+    def deranged(r: int):
+        heads = [times_t(at[r]) for times_t in times_level1]
+        u_inv = inverses[r]
+        for s in listed if listed is not None else G.level_transversals(2, budget)[1]:
+            free = every_t ^ reduce(or_, map(dict.get, map(masks.__getitem__, s),
+                                             u_inv, repeat(0)))
+            if free:
+                times_s = itemgetter(*s)  # h -> h∘s, a tuple since n >= 2
+                while free:
+                    bit = free & -free
+                    free ^= bit
+                    yield times_s(heads[bit.bit_length() - 1])
+    return points, deranged
 
 
 def group_from_generators(gens, degree: int | None = None, name: str = "") -> PermGroup:

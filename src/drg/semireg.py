@@ -11,11 +11,12 @@ suborbit's size: conjugation by G_a maps D_r onto D_j for every j in r's
 suborbit. With r the least point of its suborbit, the least element of
 each order lies in some D_r, so the witnesses are those of a scan of all of
 G. The chain's first two base points are a and b, so D_r is {u_r∘t∘s}: t
-in the level-1 transversal T of G_a, s in a walk of G_{a,b}. Bitmasks over
-T, one per point and value and built once per group, give for each s at
-once the t for which u_r∘t∘s has a fixed point. Only the derangements are
-built, and no element of G_a. Each gets one cycle walk, which finds its
-order when all its cycles share a length.
+in the level-1 transversal T of G_a, s in a walk of G_{a,b}. The coset
+walk it reads, ``group.coset_derangements``, which the derangement graph
+shares, keeps bitmasks over T, one per point and value and built once per
+census, that give for each s at once the t for which u_r∘t∘s has a fixed
+point. Only the derangements are built, and no element of G_a. Each gets
+one cycle walk, which finds its order when all its cycles share a length.
 
 The subgroup search first reads the census orders: the best cyclic subgroup
 and the prime-part bound below come from them alone, and when they meet, as
@@ -63,10 +64,10 @@ from collections import deque
 from collections.abc import Iterator
 from copy import copy
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
-from itertools import product, repeat, tee
+from functools import lru_cache
+from itertools import product, tee
 from math import gcd, lcm
-from operator import eq, itemgetter, or_
+from operator import eq
 
 from .graph import DEFAULT_NODE_BUDGET
 from .group import (
@@ -76,6 +77,7 @@ from .group import (
     PermGroup,
     block_image,
     close_subgroup,
+    coset_derangements,
     orbit_transversal,
     reduce_generators,
 )
@@ -83,8 +85,6 @@ from .numth import factorize, is_prime
 from .perm import Permutation, PermError, compose, has_fixed_point, inverse, is_derangement
 
 DEFAULT_SUBGROUP_BUDGET = 10_000  # the checker's ceiling: it may be handed any certificate
-# a census lists G_{a,b}'s walk, |G_{a,b}|·n image entries, up to this size
-_LISTED_WALK_ENTRIES = 1 << 16
 
 
 @dataclass
@@ -264,79 +264,33 @@ def element_census(G: PermGroup, element_budget: int) -> ElementCensus:
     every witness is the least of its order in G, as in a scan of the whole
     group.
 
-    a is the chain's first base point and b its second, so
-    ``level_transversals(2)`` gives every D_r as {u_r∘t∘s}: u_r the level-0
-    transversal element with u_r[a] == r, t in the level-1 transversal T of
-    G_a and s in the walk of G_{a,b}. u_r∘t∘s fixes i exactly when t[s[i]]
-    == u_r^-1[i]. So for each point c a dict maps each value v to the
-    bitmask of the t in T with t[c] == v: n·|T| entries, built once per
-    group. The t that give u_r∘t∘s a fixed point are then the OR over i of
-    the masks at (s[i], u_r^-1[i]). Only the others are built, as
-    (u_r∘t)∘s, and get the cycle walk; no element of G_a and no element
-    with a fixed point is built. The cosets run outermost, so each coset's
-    heads u_r∘t are dropped before the next. G_{a,b}'s walk is read once
-    per coset; it is listed, |G_{a,b}|·n entries, only while that is at most
-    ``_LISTED_WALK_ENTRIES`` (every catalog group), and otherwise walked
-    again off the chain for each coset, so a wide G_{a,b} on many points
-    costs time, not memory. When G_a is trivial, D_r is {u_r}, tested as it
-    is. The chain already holds every u_r^-1, and ``base_stabilizer`` passes
-    them out. No h in G_a is built here: the census keeps G_a's generators,
-    and ``ElementCensus.semiregular_images`` conjugates with them only when
-    it is read.
+    The cosets come from ``coset_derangements``, which builds only their
+    derangements, off per-point bitmasks over the chain's level-1
+    transversal; each gets one cycle walk. The cosets run outermost, so each
+    coset's heads are dropped before the next. No h in G_a is built here:
+    the census keeps G_a's generators, and
+    ``ElementCensus.semiregular_images`` conjugates with them only when it
+    is read.
 
     Raises BudgetError when |G| exceeds the budget. Only the latest group's
     census is kept: a larger cache would hold the semiregular elements of
     every group its callers keep alive.
     """
-    (transversal, level1), walk = G.level_transversals(2, element_budget)
+    _, deranged = coset_derangements(G, element_budget)
     if G.order() == 1:
         return ElementCensus(0, {}, ())
     a, gens, inverses = G.base_stabilizer()
-    n = G.degree
-    at = {u[a]: u for u in transversal}
 
     # the suborbits: the G_a-orbits in a's G-orbit but a's own, each sorted
-    identity = tuple(range(n))
-    stabilizer = PermGroup(gens, n)
-    orbits = [orbit for orbit in stabilizer.orbits() if orbit[0] in at and orbit[0] != a]
-
-    if len(level1) > 1:
-        # G_{a,b}'s walk is read once per coset: listed while its |G_{a,b}|·n
-        # entries are few, walked again off the chain per coset when not
-        small = G.order() // (len(transversal) * len(level1)) * n <= _LISTED_WALK_ENTRIES
-        listed = list(walk) if small else None
-        # masks[c][v]: bit k set when level1[k][c] == v
-        masks: list[dict[int, int]] = [{} for _ in range(n)]
-        for k, t in enumerate(level1):
-            for c, v in enumerate(t):
-                masks[c][v] = masks[c].get(v, 0) | 1 << k
-        every_t = (1 << len(level1)) - 1
-        times_level1 = [itemgetter(*t) for t in level1]  # u -> u∘t
-
-    def derangements(u: tuple[int, ...], u_inv: tuple[int, ...]):
-        """The derangements of {u∘t∘s}, in the order ``Suborbit.elements`` keeps."""
-        if len(level1) == 1:  # G_a is trivial
-            if not any(map(eq, u, identity)):
-                yield u
-            return
-        heads = [times_t(u) for times_t in times_level1]
-        walk = listed if listed is not None else G.level_transversals(2, element_budget)[1]
-        for s in walk:
-            free = every_t ^ reduce(or_, map(dict.get, map(masks.__getitem__, s),
-                                             u_inv, repeat(0)))
-            if free:
-                times_s = itemgetter(*s)  # h -> h∘s, a tuple since n >= 2
-                while free:
-                    bit = free & -free
-                    free ^= bit
-                    yield times_s(heads[bit.bit_length() - 1])
+    stabilizer = PermGroup(gens, G.degree)
+    orbits = [orbit for orbit in stabilizer.orbits() if orbit[0] in inverses and orbit[0] != a]
 
     count = 0
     by_order: dict[int, tuple[int, tuple[int, ...]]] = {}
     suborbits = []
     for orbit in orbits:  # D_r for the least point r of each, weighted by its size
         r, weight, elements = orbit[0], len(orbit), []
-        for x in derangements(at[r], inverses[r]):
+        for x in deranged(r):
             count += weight
             m = common_cycle_length(x)
             if m is not None:

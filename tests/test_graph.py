@@ -22,6 +22,7 @@ from drg.graph import (
     _max_clique_search,
 )
 from drg.group import PermGroup
+from drg.oracles import exhaustive_max_coclique
 from drg.perm import Permutation, compose, inverse, is_derangement, parse_cycles
 
 
@@ -248,6 +249,43 @@ def test_density_bounds_walks_the_group_once(monkeypatch):
     rep = density_bounds(G)
     assert rep.status == "ok"
     assert calls == 1
+
+
+def _count_whole_group_walks(monkeypatch, forbid):
+    """Patch ``element_images`` to count, or with ``forbid`` refuse, walks of the whole group."""
+    walk = PermGroup.element_images
+    whole = []
+
+    def watched(self, *args, **kwargs):
+        if not kwargs.get("derangements"):
+            assert not forbid, "a walk of the whole group"
+            whole.append(self)
+        return walk(self, *args, **kwargs)
+
+    monkeypatch.setattr(PermGroup, "element_images", watched)
+    return walk, whole
+
+
+@pytest.mark.parametrize("name", ["A7:7", "PSL2(11):12", "S6:6", "M11:12", "S5:10"])
+def test_density_builds_no_fixer_once_a_clique_meets_the_degree(monkeypatch, name):
+    G = catalog_load(name).group
+    walk, _ = _count_whole_group_walks(monkeypatch, forbid=True)
+    rep = density_bounds(G)
+    assert rep.best_clique == G.degree
+    assert rep.coclique_optimal and rep.rho_lower == rep.rho_upper == Fraction(1)
+    # the identity, then the rest of G_0, sorted
+    stabilizer = [t for t in walk(G) if t[0] == 0]
+    assert [v.images for v in rep.coclique_certificate.vertices] == stabilizer
+
+
+@pytest.mark.parametrize("name", ["A5:10", "A5:6", "A4:6"])
+def test_intersecting_family_searches_below_the_degree(monkeypatch, name):
+    G = catalog_load(name).group
+    _, whole = _count_whole_group_walks(monkeypatch, forbid=False)
+    rep = density_bounds(G)
+    assert rep.best_clique < G.degree
+    assert whole == [G]  # the fixers, for the search
+    assert rep.coclique_optimal and rep.best_coclique == exhaustive_max_coclique(G)
 
 
 def test_density_regular_group():

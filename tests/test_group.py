@@ -4,6 +4,7 @@ import random
 import pytest
 
 from drg.catalog import catalog_index, catalog_load
+from drg import group
 from drg.group import (
     BlockSystem,
     BudgetError,
@@ -16,7 +17,7 @@ from drg.group import (
     reduce_generators,
     trivial_group,
 )
-from drg.perm import Permutation, PermError, compose, inverse, parse_cycles
+from drg.perm import Permutation, PermError, compose, has_fixed_point, inverse, parse_cycles
 
 
 def cyclic(n):
@@ -125,6 +126,55 @@ def test_elements_budget():
     G = sym(6)
     with pytest.raises(BudgetError):
         list(G.elements(budget=100))
+
+
+def _random_subgroup(rng, n):
+    """A subgroup of S_n on one to three random generators, each moving a random subset."""
+    gens = []
+    for _ in range(rng.randrange(1, 4)):
+        support = rng.sample(range(n), rng.randrange(2, n + 1))
+        images = list(range(n))
+        for x, y in zip(support, rng.sample(support, len(support))):
+            images[x] = y
+        gens.append(Permutation(images))
+    return PermGroup(gens, n)
+
+
+def _derangement_walk_cases():
+    """The catalog to order 25,920, 150 seeded random subgroups of S_n for n <= 8,
+    C_360, D_360, S_2 and the trivial group."""
+    for rec in catalog_index():
+        if rec["order"] <= 25_920:
+            yield rec["name"], catalog_load(rec["name"]).group
+    rng = random.Random(30)
+    for i in range(150):
+        yield f"random {i}", _random_subgroup(rng, rng.randrange(2, 9))
+    n = 360
+    yield "C360", cyclic(n)
+    yield "D360", PermGroup([[(i + 1) % n for i in range(n)], [-i % n for i in range(n)]])
+    yield "S2", sym(2)
+    yield "trivial", trivial_group(3)
+
+
+def _assert_derangement_walk_matches_the_filter(groups):
+    for name, G in groups:
+        want = [t for t in G.element_images() if not has_fixed_point(t)]
+        assert G.element_images(derangements=True) == want, name
+
+
+def test_derangement_walk_matches_the_filtered_elements():
+    _assert_derangement_walk_matches_the_filter(_derangement_walk_cases())
+
+
+def test_derangement_walk_matches_the_filter_when_the_stabilizer_walk_is_not_listed(monkeypatch):
+    # with no walk listed, every coset walks G_{a,b} again off the chain
+    monkeypatch.setattr(group, "_LISTED_WALK_ENTRIES", 0)
+    _assert_derangement_walk_matches_the_filter(_derangement_walk_cases())
+
+
+def test_derangement_walk_budget():
+    with pytest.raises(BudgetError):
+        sym(6).element_images(budget=100, derangements=True)
 
 
 def test_orbit():

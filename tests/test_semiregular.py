@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from drg import semireg
+from drg import group, semireg
 from drg.catalog import catalog_index, catalog_load
 from drg.checks import Budgets
 from drg.constructions import natural_alt
@@ -583,7 +583,7 @@ def test_element_census_of_an_intransitive_group_rewalks_a_wide_stabilizer():
     G = _pairs_times_cyclic(8, 50)
     (_, level1), _ = G.level_transversals(2, G.order())
     assert len(level1) == 2
-    assert G.order() // (2 * 2) * G.degree > semireg._LISTED_WALK_ENTRIES
+    assert G.order() // (2 * 2) * G.degree > group._LISTED_WALK_ENTRIES
     G.base_stabilizer()
     gc.collect()
     tracemalloc.start()
