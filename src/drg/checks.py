@@ -36,10 +36,10 @@ from .graph import (
     CliqueCertificate,
     CocliqueCertificate,
     DensityReport,
-    are_adjacent,
     clique_coclique_audit,
     density_bounds,
     find_k_clique,
+    greedy_clique,
     max_clique,
     max_intersecting_family,
     validate_clique,
@@ -157,17 +157,14 @@ _GREEDY_PREFIX = 400
 
 def _greedy_extend(prefix: Iterable[Permutation], k: int,
                    degree: int) -> CliqueCertificate | None:
-    """A validated k-clique through the identity, built greedily from the
+    """A validated k-clique through the identity, ``greedy_clique`` over the
     derangements in ``prefix`` taken in order, or None."""
-    chosen: list[Permutation] = []
-    for p in prefix:
-        if all(are_adjacent(p, q) for q in chosen):
-            chosen.append(p)
-            if len(chosen) == k - 1:
-                cert = CliqueCertificate([Permutation.identity(degree)] + chosen)
-                validate_clique(cert)
-                return cert
-    return None
+    chosen = greedy_clique((p.images for p in prefix), k - 1)
+    if len(chosen) < k - 1:
+        return None
+    cert = CliqueCertificate([Permutation.identity(degree)] + list(map(Permutation, chosen)))
+    validate_clique(cert)
+    return cert
 
 
 def sampled_k_clique(G: PermGroup, k: int) -> CliqueCertificate | None:

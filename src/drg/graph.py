@@ -4,41 +4,45 @@ Vertices are group elements; g and h are adjacent when g h^-1 is a
 derangement, which under the right-action convention happens exactly when
 the image tuples of g and h disagree in every coordinate. The searches get
 their rows from per-point masks (the vertices sending x to y, one bitset for
-each pair of points), built once per vertex list; a row is built on first
-use and no |G| x |G| matrix is ever stored.
-
-The certificate validators stay independent of the searches: they use
-neither ``_LazyAdjacency`` nor the search functions nor ``oracles``, and
-read the certificate's vertices alone. The clique check runs point by
-point: a set of permutations is a clique exactly when no value repeats at
-any point, so it needs one small dict per point and no bitset. The
-coclique check keeps point masks, one dict per point from image to
-bitset: it ORs, for every vertex, the masks of its n (point, image) pairs
-into the set of vertices it agrees with somewhere, O(m * n) big-int ORs
-for m vertices, not a pairwise scan.
+each pair of points), built with the first row a search asks for; a row is
+built on first use and no |G| x |G| matrix is ever stored.
 
 Searches operate on integer bitsets over an indexed vertex universe and are
 deterministic: vertices are indexed in lexicographic order of their image
 tuples and branching follows index order. There is one engine, a colouring
 branch and bound over an explicit stack, so clique size meets no recursion
-limit: ``max_clique`` runs it to the end, ``find_k_clique`` stops it at k
-vertices, and ``max_intersecting_family`` runs it on the complement. The
-clique searches read G's derangements alone (for S_n a share near 1/e of
-its elements), walked a coset at a time so that no element with a fixed
-point is built, and kept for the latest group only. The
-intersecting-family search needs the elements that fix a point only when
-it must search: once a clique of size n is known, the stabilizer of a
-point meets the clique-coclique bound alpha * omega <= |G| and is read off
-the group's stabilizer chain.
+limit: ``max_clique`` runs it from the greedy clique of G's sorted
+derangements up to the ceiling omega <= n (two clique members differ at
+point 0), ``find_k_clique`` stops it at k vertices, and
+``max_intersecting_family`` runs it on the complement. Where the greedy
+reaches n, as on most groups, no mask or row is built. The clique searches
+read G's derangements alone (for S_n a share near 1/e of its elements),
+walked a coset at a time so that no element with a fixed point is built,
+and kept for the latest group only. Once a clique of size n is known, the
+stabilizer of a point meets the clique-coclique bound alpha * omega <= |G|
+and is read off the group's stabilizer chain; only otherwise are the
+elements that fix a point built.
+
+The certificate validators stay independent of the searches: they use
+neither ``_LazyAdjacency`` nor the search functions nor ``oracles``, and
+read the certificate's vertices alone. A set of permutations is a clique
+exactly when no value repeats at any point, so the clique check takes one
+set per point, and one small dict per point only to name the least
+clashing pair. The coclique check accepts a family that is constant at
+some point, a point stabilizer among them, in the same one pass; otherwise
+it ORs, for every vertex, the per-point bitsets of its n (point, image)
+pairs into the set of vertices it agrees with somewhere, O(m * n) big-int
+ORs for m vertices, not a pairwise scan.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from bisect import bisect_left
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
-from operator import or_
+from functools import cached_property, lru_cache, reduce
+from operator import getitem, or_
 from typing import ClassVar
 
 from .group import DEFAULT_ELEMENT_BUDGET, BudgetError, PermGroup
@@ -87,6 +91,30 @@ def are_adjacent(g: Permutation, h: Permutation) -> bool:
     if g.degree != h.degree:
         raise PermError("degree mismatch in adjacency test")
     return all(a != b for a, b in zip(g.images, h.images))
+
+
+def greedy_clique(images: Iterable[tuple[int, ...]], size: int) -> list[tuple[int, ...]]:
+    """First fit: walk ``images`` once, keep each tuple that disagrees at
+    every point with every tuple kept so far, and stop once ``size`` are kept.
+
+    used[x][y] flags that a kept tuple sends x to y: a test costs O(n), and
+    the n * n bytes hold no Python object per pair, an eighth of the n
+    tuples of n entries on the first level of a transitive group's chain.
+    """
+    kept: list[tuple[int, ...]] = []
+    if size < 1:
+        return kept
+    used: list[bytearray] = []
+    for t in images:
+        if not used:
+            used = [bytearray(len(t)) for _ in t]
+        if not any(map(getitem, used, t)):
+            kept.append(t)
+            if len(kept) == size:
+                break
+            for flags, y in zip(used, t):
+                flags[y] = 1
+    return kept
 
 
 @dataclass
@@ -150,15 +178,18 @@ def validate_clique(cert: CliqueCertificate, G: PermGroup | None = None,
     """Re-check a clique certificate from the definition, one point at a time.
 
     A set of permutations is a clique exactly when no value repeats at any
-    point. At each point the first vertex holding a value pairs with every
-    later holder j, and the error names the least such pair (i, j) over all
-    points. That is the least pair i < j that agrees somewhere: if i were
-    not the first holder at their common point, the first holder and i
-    would make a smaller pair. Shares no logic with the searches or the
-    oracles.
+    point, so m vertices pass when each point's set of values has m members.
+    Only a failing list is scanned again to name a pair: at each point the
+    first vertex holding a value pairs with every later holder j, and the
+    error names the least such pair (i, j) over all points. That is the
+    least pair i < j that agrees somewhere: if i were not the first holder
+    at their common point, the first holder and i would make a smaller
+    pair. Shares no logic with the searches or the oracles.
     """
     verts = cert.vertices
     _check_vertices(verts, G, require_identity)
+    if all(len(set(column)) == len(verts) for column in zip(*(v.images for v in verts))):
+        return
     clashes = []
     for column in zip(*(v.images for v in verts)):
         first: dict[int, int] = {}
@@ -177,11 +208,15 @@ def validate_coclique(cert: CocliqueCertificate, G: PermGroup | None = None) -> 
     every vertex: O(m * n) big-int ORs for m vertices, not a pairwise scan.
     The error names the lowest missing j of the first failing i: that is
     the first pair i < j that disagrees everywhere, since a j < i would
-    have failed at j already. Shares no logic with the searches or the
-    oracles.
+    have failed at j already. A family whose vertices all agree at one point
+    is intersecting, so a constant column of images accepts it at once: a
+    point stabilizer passes in one pass. Shares no logic with the searches
+    or the oracles.
     """
     verts = cert.vertices
     _check_vertices(verts, G)
+    if any(len(set(column)) == 1 for column in zip(*(v.images for v in verts))):
+        return
     masks: list[dict[int, int]] = [{} for _ in range(verts[0].degree)]
     for j, v in enumerate(verts):
         bit = 1 << j
@@ -203,24 +238,29 @@ def validate_coclique(cert: CocliqueCertificate, G: PermGroup | None = None) -> 
 class _LazyAdjacency:
     """Adjacency rows over an indexed vertex list, built on first use.
 
-    The constructor builds the point masks once: masks[x][y] is the bitset
-    of vertices v with v(x) = y. Vertex i agrees with exactly the vertices
-    in agree = OR over x of masks[x][g_i(x)], itself included. A derangement
-    graph row is then universe & ~agree; a complement row (the vertices that
-    share a point with g_i) is agree without bit i.
+    The first row builds the point masks: masks[x][y] is the bitset of
+    vertices v with v(x) = y. A search that asks for no row builds none.
+    Vertex i agrees with exactly the vertices in agree = OR over x of
+    masks[x][g_i(x)], itself included. A derangement graph row is then
+    universe & ~agree; a complement row (the vertices that share a point
+    with g_i) is agree without bit i.
     """
 
     def __init__(self, images: Sequence[tuple[int, ...]], complement: bool = False):
         self.images = images
         self.complement = complement
         self.universe = (1 << len(images)) - 1
-        degree = len(images[0]) if images else 0
-        self.masks = [[0] * degree for _ in range(degree)]
-        for j, img in enumerate(images):
-            bit = 1 << j
-            for mx, y in zip(self.masks, img):
-                mx[y] |= bit
         self._rows: dict[int, int] = {}
+
+    @cached_property
+    def masks(self) -> list[list[int]]:
+        # only row() reads the masks, so there is at least one vertex
+        masks = [[0] * len(self.images[0]) for _ in self.images[0]]
+        for j, img in enumerate(self.images):
+            bit = 1 << j
+            for mx, y in zip(masks, img):
+                mx[y] |= bit
+        return masks
 
     def row(self, i: int) -> int:
         cached = self._rows.get(i)
@@ -350,12 +390,19 @@ class MaxSearchResult:
 def max_clique(G: PermGroup,
                node_budget: int = DEFAULT_NODE_BUDGET,
                element_budget: int = DEFAULT_ELEMENT_BUDGET) -> MaxSearchResult:
-    """Best clique found by branch and bound, identity-rooted.
+    """Best clique found by branch and bound, identity-rooted, stopped at n.
 
-    The optimality flag is True only when the search closed within budget.
+    Two clique members differ at point 0, so omega <= n. The search starts
+    from ``greedy_clique`` over the sorted derangements, stopped at n - 1.
+    When the greedy reaches n - 1, the search opens only its root, with no
+    colour sort, and no mask or row is built; otherwise it runs on from the
+    greedy's clique. The optimality flag is True when the search closed
+    within budget, a search stopped at the ceiling included.
     """
-    adj = _LazyAdjacency(derangement_set(G, element_budget).images)
-    best, closed, nodes = _max_clique_search(adj, node_budget)
+    images = derangement_set(G, element_budget).images
+    initial = [bisect_left(images, t) for t in greedy_clique(images, G.degree - 1)]
+    adj = _LazyAdjacency(images)
+    best, closed, nodes = _max_clique_search(adj, node_budget, initial, stop_at=G.degree - 1)
     cert = CliqueCertificate(_identity_rooted(G.degree, adj.images, best))
     validate_clique(cert)
     return MaxSearchResult(cert, closed, nodes)

@@ -14,6 +14,7 @@ from drg.graph import (
     density_bounds,
     derangement_set,
     find_k_clique,
+    greedy_clique,
     max_clique,
     max_intersecting_family,
     validate_clique,
@@ -476,6 +477,13 @@ def test_validators_reject_a_group_of_another_degree():
         validate_coclique(CocliqueCertificate([v]), G)
 
 
+def test_validate_coclique_accepts_the_stabilizer_of_another_point():
+    G = catalog_load("A7:7").group
+    for x in (3, 6):
+        family = [Permutation(t) for t in G.element_images() if t[x] == x]
+        validate_coclique(CocliqueCertificate(family), G)
+
+
 def test_validate_coclique_a8_stabilizer_family():
     G = catalog_load("A8:8").group
     family = [Permutation(t) for t in sorted(G.iter_images()) if t[0] == 0]
@@ -491,13 +499,15 @@ def test_validate_coclique_a8_stabilizer_family():
 
 
 # (size, optimal, nodes) of max_clique, then of max_intersecting_family given
-# that clique's size: a change in the engine's visiting order moves them
+# that clique's size: a change in the engine's visiting order moves them. The
+# greedy warm start reaches the degree on S6:6, A7:7 and A8:8, so their
+# search opens its root alone.
 @pytest.mark.parametrize("name, clique, family", [
     ("A5:6", (4, True, 6), (10, True, 12)),
-    ("S6:6", (6, True, 5), (120, True, 1)),
-    ("A7:7", (7, True, 6), (360, True, 1)),
+    ("S6:6", (6, True, 1), (120, True, 1)),
+    ("A7:7", (7, True, 1), (360, True, 1)),
     ("PSL2(11):12", (12, True, 11), (55, True, 1)),
-    ("A8:8", (8, True, 7), (2520, True, 1)),
+    ("A8:8", (8, True, 1), (2520, True, 1)),
 ])
 def test_clique_engine_node_counts_are_pinned(name, clique, family):
     G = catalog_load(name).group
@@ -505,6 +515,58 @@ def test_clique_engine_node_counts_are_pinned(name, clique, family):
     assert (cl.certificate.size, cl.optimal, cl.nodes) == clique
     co = max_intersecting_family(G, clique_size_hint=cl.certificate.size)
     assert (co.certificate.size, co.optimal, co.nodes) == family
+
+
+# (size, closed, nodes) of the engine from an empty start, with no ceiling:
+# the visiting order on the groups where max_clique's warm start skips it
+@pytest.mark.parametrize("name, expected", [
+    ("S6:6", (5, True, 5)),
+    ("A7:7", (6, True, 6)),
+    ("A8:8", (7, True, 7)),
+])
+def test_clique_engine_cold_node_counts_are_pinned(name, expected):
+    adj = _LazyAdjacency(derangement_set(catalog_load(name).group).images)
+    best, closed, nodes = _max_clique_search(adj, DEFAULT_NODE_BUDGET)
+    assert (len(best), closed, nodes) == expected
+
+
+def test_max_clique_at_the_degree_builds_no_mask_or_row(monkeypatch):
+    built = []
+    init = _LazyAdjacency.__init__
+
+    def recorded(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(_LazyAdjacency, "__init__", recorded)
+    G = catalog_load("A7:7").group
+    r = max_clique(G)
+    assert r.optimal and r.certificate.size == 7 and r.nodes == 1
+    (adj,) = built
+    assert "masks" not in vars(adj) and adj._rows == {}
+
+
+def test_max_clique_searches_on_where_the_greedy_falls_short():
+    G = catalog_load("PSL2(11):12").group
+    images = derangement_set(G).images
+    assert len(greedy_clique(images, G.degree - 1)) < G.degree - 1
+    r = max_clique(G)
+    assert r.optimal and r.certificate.size == 12
+    validate_clique(r.certificate, G)
+
+
+def test_greedy_clique_is_first_fit():
+    # the pairwise definition, taken in order, against the flag table
+    images = derangement_set(catalog_load("A5:6").group).images
+    want = []
+    for t in images:
+        if all(are_adjacent(Permutation(t), Permutation(q)) for q in want):
+            want.append(t)
+    assert greedy_clique(iter(images), 5) == want
+    stream = iter(images)
+    assert greedy_clique(stream, 2) == want[:2]
+    assert next(stream) == images[images.index(want[1]) + 1]  # stops at the size
+    assert greedy_clique(images, 0) == []
 
 
 @pytest.mark.parametrize("name, expected", [

@@ -105,10 +105,13 @@ def test_find_k_clique_budget_exhaustion_is_unknown():
 
 
 def test_max_clique_budget_lowers_flag():
-    G = catalog_load("S6:6").group
+    G = catalog_load("A5:6").group
     r = max_clique(G, node_budget=3)
     assert not r.optimal
     assert r.certificate.size >= 1
+    # S6:6's greedy warm start meets the ceiling omega <= n before any budget
+    r = max_clique(catalog_load("S6:6").group, node_budget=3)
+    assert r.optimal and r.certificate.size == 6
 
 
 def test_is_elusive_over_budget_unknown():
