@@ -32,7 +32,6 @@ from .constructions import (
 )
 from .fields import GF, Matrix, preserves_quadratic, preserves_symplectic
 from .graph import (
-    DEFAULT_NODE_BUDGET,
     CliqueCertificate,
     CocliqueCertificate,
     DensityReport,
@@ -44,8 +43,9 @@ from .graph import (
     max_intersecting_family,
     validate_clique,
 )
-from .group import (DEFAULT_DEGREE_BUDGET, DEFAULT_ELEMENT_BUDGET, BudgetError, PermGroup,
-                    blocks_and_primitivity, close_subgroup, coset_action)
+from .group import (DEFAULT_DEGREE_BUDGET, DEFAULT_ELEMENT_BUDGET, DEFAULT_NODE_BUDGET,
+                    BudgetError, PermGroup, blocks_and_primitivity, close_subgroup,
+                    coset_action)
 from .numth import (
     cyclotomic_value,
     divisors,

@@ -131,35 +131,36 @@ def cmd_corpus(args) -> int:
     return 3 if result["integrity_failures"] else 0
 
 
+def _print_ppd(r) -> None:
+    print(json.dumps({"q": r.q, "t": r.t, "primitive_divisors": list(r.primitive_divisors),
+                      "exceptional": r.exceptional}))
+
+
+def _print_pairs(pairs) -> None:
+    for m, ell in pairs:
+        print(f"{m}\t{ell}")
+
+
+# operation -> (function, number of integer arguments, printer); argparse's
+# choices are read from it, so an unknown operation never reaches cmd_numth
+_NUMTH_OPERATIONS = {
+    "radical": (radical, 1, print),
+    "gpf": (greatest_prime_factor, 1, print),
+    "ppd": (primitive_prime_divisors, 2, _print_ppd),
+    "cyclotomic": (cyclotomic_value, 2, print),
+    "phi-star": (phi_star, 2, print),
+    "sylvester": (sylvester_prime, 2, print),
+    "bertrand": (bertrand_mid_prime, 1, print),
+    "dominance": (mod_dominance_classify, 1, _print_pairs),
+    "power-factorial": (power_vs_factorial, 1, print),
+}
+
+
 def cmd_numth(args) -> int:
-    op = args.operation
-    vals = args.args
+    fn, arity, show = _NUMTH_OPERATIONS[args.operation]
     try:
-        if op == "radical":
-            print(radical(int(vals[0])))
-        elif op == "gpf":
-            print(greatest_prime_factor(int(vals[0])))
-        elif op == "ppd":
-            r = primitive_prime_divisors(int(vals[0]), int(vals[1]))
-            print(json.dumps({"q": r.q, "t": r.t,
-                              "primitive_divisors": list(r.primitive_divisors),
-                              "exceptional": r.exceptional}))
-        elif op == "cyclotomic":
-            print(cyclotomic_value(int(vals[0]), int(vals[1])))
-        elif op == "phi-star":
-            print(phi_star(int(vals[0]), int(vals[1])))
-        elif op == "sylvester":
-            print(sylvester_prime(int(vals[0]), int(vals[1])))
-        elif op == "bertrand":
-            print(bertrand_mid_prime(int(vals[0])))
-        elif op == "dominance":
-            for m, ell in mod_dominance_classify(int(vals[0])):
-                print(f"{m}\t{ell}")
-        elif op == "power-factorial":
-            print(power_vs_factorial(int(vals[0])))
-        else:
-            print(f"unknown operation {op!r}", file=sys.stderr)
-            return 3
+        # a missing argument is an IndexError; extra ones are ignored
+        show(fn(*[int(args.args[i]) for i in range(arity)]))
     except (ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -260,9 +261,7 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_corpus)
 
     p = sub.add_parser("numth", help="number theory operations")
-    p.add_argument("operation",
-                   choices=["radical", "gpf", "ppd", "cyclotomic", "phi-star",
-                            "sylvester", "bertrand", "dominance", "power-factorial"])
+    p.add_argument("operation", choices=list(_NUMTH_OPERATIONS))
     p.add_argument("args", nargs="*")
     p.set_defaults(fn=cmd_numth)
 

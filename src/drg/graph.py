@@ -45,10 +45,8 @@ from functools import cached_property, lru_cache, reduce
 from operator import getitem, or_
 from typing import ClassVar
 
-from .group import DEFAULT_ELEMENT_BUDGET, BudgetError, PermGroup
+from .group import DEFAULT_ELEMENT_BUDGET, DEFAULT_NODE_BUDGET, BudgetError, PermGroup
 from .perm import Permutation, PermError, has_fixed_point
-
-DEFAULT_NODE_BUDGET = 200_000
 
 
 @dataclass(frozen=True)

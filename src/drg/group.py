@@ -29,6 +29,7 @@ from .perm import Permutation, PermError, compose, inverse
 
 DEFAULT_ELEMENT_BUDGET = 200_000
 DEFAULT_DEGREE_BUDGET = 10_000
+DEFAULT_NODE_BUDGET = 200_000
 
 
 class BudgetError(RuntimeError):

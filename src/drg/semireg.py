@@ -69,9 +69,9 @@ from itertools import product, tee
 from math import gcd, lcm
 from operator import eq
 
-from .graph import DEFAULT_NODE_BUDGET
 from .group import (
     DEFAULT_ELEMENT_BUDGET,
+    DEFAULT_NODE_BUDGET,
     BlockSystem,
     BudgetError,
     PermGroup,

@@ -1,9 +1,6 @@
 import importlib.util
 import itertools
 import json
-import os
-import subprocess
-import sys
 from math import prod
 from pathlib import Path
 
@@ -159,6 +156,21 @@ def test_analyze_regular_group_density():
     rep = analyze("C5:5", deep=True)
     assert rep["density"]["rho_lower"] == "1"
     assert rep["density"]["rho_upper"] == "1"
+
+
+def test_analyze_deep_runs_the_exact_searches_above_order_5000():
+    # M11:12 (order 7920) is elusive, so no witness closes rho: without deep
+    # the density stays an interval, with it the exact searches close rho = 1
+    shallow = analyze("M11:12")
+    assert shallow["density"]["status"] == "partial"
+    assert (shallow["density"]["rho_lower"], shallow["density"]["rho_upper"]) == ("1", "3")
+    assert shallow["density"]["best_clique"] == 4
+    deep = analyze("M11:12", deep=True)
+    assert deep["density"] == density_bounds(catalog_load("M11:12").group).to_json_dict()
+    assert deep["density"]["rho_lower"] == deep["density"]["rho_upper"] == "1"
+    assert deep["density"]["clique_optimal"] and deep["density"]["coclique_optimal"]
+    assert {k: v for k, v in deep.items() if k != "density"} == \
+        {k: v for k, v in shallow.items() if k != "density"}
 
 
 def test_analyze_witness_density_matches_density_bounds_on_the_catalog():
@@ -404,14 +416,30 @@ def test_cli_verify_single(capsys):
 
 
 def test_cli_numth(capsys):
-    assert cli_main(["numth", "radical", "24"]) == 0
-    assert capsys.readouterr().out.strip() == "6"
+    for argv, expected in (
+        (["radical", "24"], "6"),
+        (["gpf", "24"], "3"),
+        (["ppd", "3", "4"],
+         '{"q": 3, "t": 4, "primitive_divisors": [5], "exceptional": false}'),
+        (["cyclotomic", "4", "3"], "10"),
+        (["phi-star", "4", "3"], "5"),
+        (["sylvester", "10", "3"], "5"),
+        (["bertrand", "9"], "5"),
+        (["dominance", "9"], "6\t1\n6\t5\n8\t1\n8\t7\n9\t1\n9\t2\n9\t7\n9\t8"),
+        (["power-factorial", "5"], "True"),
+        (["radical", "24", "99"], "6"),  # an extra argument is ignored
+    ):
+        assert cli_main(["numth", *argv]) == 0, argv
+        assert capsys.readouterr().out == expected + "\n", argv
     assert cli_main(["numth", "ppd", "7", "2"]) == 0
-    out = json.loads(capsys.readouterr().out)
-    assert out["exceptional"] is True
-    assert cli_main(["numth", "bertrand", "9"]) == 0
-    assert capsys.readouterr().out.strip() == "5"
-    assert cli_main(["numth", "radical", "-3"]) == 3
+    assert json.loads(capsys.readouterr().out)["exceptional"] is True
+    for argv, message in ((["radical", "-3"], "error: "),
+                          (["ppd", "7"], "error: list index out of range"),
+                          (["radical", "x"], "error: invalid literal for int()")):
+        assert cli_main(["numth", *argv]) == 3, argv
+        captured = capsys.readouterr()
+        assert captured.err.startswith(message) and captured.out == "", argv
+    assert _exit_code(["numth", "no-such-operation", "3"]) == 3
 
 
 def test_cli_density(tmp_path, capsys):
@@ -480,6 +508,14 @@ def test_cli_corpus(tmp_path, capsys):
     assert "C5:5" in out
 
 
+def _load_peak_gates():
+    path = Path(__file__).resolve().parents[1] / "tools" / "peak_gates.py"
+    spec = importlib.util.spec_from_file_location("peak_gates", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_cli_corpus_on_a_regular_group_of_degree_1000(tmp_path):
     # C_1000's regular subgroup is a 1,000-vertex clique, deeper than Python's
     # default recursion limit. It closes rho = 1 with no density search: the
@@ -488,24 +524,28 @@ def test_cli_corpus_on_a_regular_group_of_degree_1000(tmp_path):
     (tmp_path / "c1000.json").write_text(json.dumps(
         {"name": "C1000", "degree": n, "generators": [[(i + 1) % n for i in range(n)]]}))
     (tmp_path / "a5_6.json").write_text((data_dir() / "a5_6.json").read_text())
-    # the peak is read inside the child: RUSAGE_CHILDREN here would be the
-    # largest over every child the suite has reaped
-    code = ("import resource, sys\n"
-            "from drg.cli import main\n"
-            f"rc = main(['corpus', {str(tmp_path)!r}, '--json'])\n"
-            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
-            "sys.exit(rc)\n")
-    env = {**os.environ, "PYTHONPATH": str(Path(drg.__file__).resolve().parent.parent)}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, timeout=120)
+    out, peak_mb = _load_peak_gates().run_drg(["corpus", str(tmp_path), "--json"])
     assert out.returncode == 0, out.stderr[-2000:]
     rows = {row["name"]: row for row in json.loads(out.stdout)["rows"]}
     assert sorted(rows) == ["A5:6", "C1000"]
     assert all(row["integrity"] == "ok" for row in rows.values())
     density = rows["C1000"]["density"]
     assert density["rho_lower"] == density["rho_upper"] == "1"
-    peak_kb = int(out.stderr.split()[-1])  # ru_maxrss is in KB on Linux
-    assert peak_kb < 120 * 1024, peak_kb
+    assert peak_mb < 120, peak_mb
+
+
+def test_peak_gate_of_m12_runs_through_the_tool():
+    # the large-degree gates run outside the tests; this row keeps the runner
+    # itself under test, and a missing group is a FAIL line, not a traceback
+    gates = _load_peak_gates()
+    row = next(row for row in gates.GATES if row[0] == ["density", "M12:12"])
+    passed, line = gates.check_gate(*row)
+    assert passed, line
+    assert line.startswith("PASS  drg density M12:12: exit 0, rho [1, 1], peak "), line
+    passed, line = gates.check_gate(["density", "no-such"], 40)
+    assert not passed, line
+    assert line.startswith("FAIL  drg density no-such: exit 3, rho [None, None], peak "), line
+    assert line.endswith("\n    error: unknown catalog name 'no-such'; see catalog_names()"), line
 
 
 def test_cli_corpus_missing_directory(tmp_path, capsys):
