@@ -22,10 +22,10 @@ per branching node; ``CosetAction`` says why that choice is the least.
 from __future__ import annotations
 
 from functools import reduce
-from itertools import groupby, repeat
+from itertools import chain, groupby, repeat
 from operator import eq, itemgetter, or_
 
-from .perm import Permutation, PermError, compose, inverse
+from .perm import Permutation, PermError, compose, inverse, times
 
 DEFAULT_ELEMENT_BUDGET = 200_000
 DEFAULT_DEGREE_BUDGET = 10_000
@@ -93,7 +93,7 @@ def _orbit_walk(x: int, gens: list[tuple[int, ...]], limit: int) -> list[int] | 
 
 def _times_each(walk, transversal: list[tuple[int, ...]]):
     """Each element of ``walk`` followed by each transversal element, in turn."""
-    return (tuple(map(u.__getitem__, p)) for p in walk for u in transversal)
+    return chain.from_iterable(map(times_p, transversal) for times_p in map(times, walk))
 
 
 class PermGroup:
@@ -146,7 +146,7 @@ class PermGroup:
             u_inv = level.inverses.get(x)
             if u_inv is None:
                 return p
-            p = tuple(map(u_inv.__getitem__, p))
+            p = times(p)(u_inv)
         return p
 
     def _verify_level(self, i: int) -> int | None:
@@ -164,10 +164,9 @@ class PermGroup:
         gens = [g.images for g in (self.generators if i == 0 else self._strong_gens_at(i))]
         identity = tuple(range(self.degree))
         for x in sorted(level.transversal):
-            ux = level.transversal[x].images
+            times_ux = times(level.transversal[x].images)
             for g in gens:
-                u_inv = level.inverses[g[x]]
-                schreier = tuple(map(u_inv.__getitem__, map(g.__getitem__, ux)))
+                schreier = times(times_ux(g))(level.inverses[g[x]])
                 if schreier == identity:
                     continue
                 residue = self._sift_residue(schreier, i + 1)
@@ -399,7 +398,7 @@ def coset_derangements(G: PermGroup, budget: int = DEFAULT_ELEMENT_BUDGET):
         for c, v in enumerate(t):
             masks[c][v] = masks[c].get(v, 0) | 1 << k
     every_t = (1 << len(level1)) - 1
-    times_level1 = [itemgetter(*t) for t in level1]  # u -> u∘t
+    times_level1 = list(map(times, level1))
 
     def deranged(r: int):
         heads = [times_t(at[r]) for times_t in times_level1]
@@ -408,7 +407,7 @@ def coset_derangements(G: PermGroup, budget: int = DEFAULT_ELEMENT_BUDGET):
             free = every_t ^ reduce(or_, map(dict.get, map(masks.__getitem__, s),
                                              u_inv, repeat(0)))
             if free:
-                times_s = itemgetter(*s)  # h -> h∘s, a tuple since n >= 2
+                times_s = times(s)
                 while free:
                     bit = free & -free
                     free ^= bit
@@ -440,15 +439,13 @@ def close_subgroup(gens, degree: int, cap: int) -> list[Permutation] | None:
     for g in gen_images:
         if len(g) != degree:
             raise PermError(f"generator degree {len(g)} != subgroup degree {degree}")
-    gen_at = [g.__getitem__ for g in gen_images]
     identity = tuple(range(degree))
     elems = {identity}
     frontier = [identity]
     while frontier:
         new_frontier = []
         for t in frontier:
-            for g_at in gen_at:
-                prod = tuple(map(g_at, t))
+            for prod in map(times(t), gen_images):
                 if prod not in elems:
                     if len(elems) >= cap:
                         return None
@@ -618,14 +615,14 @@ class CosetAction:
 
         self._trie = _coset_trie(H.element_images(element_budget))
         identity = tuple(range(G.degree))
+        gen_images = [g.images for g in G.generators]
         self._key_to_index = {self._coset_key(identity): 0}
         self._reps = [identity]
         frontier = [identity]
         while frontier:
             new_frontier = []
             for rep in frontier:
-                for g in G.generators:
-                    moved = tuple(map(g.images.__getitem__, rep))
+                for moved in map(times(rep), gen_images):
                     key = self._coset_key(moved)
                     if key not in self._key_to_index:
                         self._key_to_index[key] = len(self._reps)
@@ -643,12 +640,11 @@ class CosetAction:
         node = self._trie
         while type(node) is dict:
             node = node[min(node, key=rep.__getitem__)]
-        return tuple(map(rep.__getitem__, node))
+        return times(node)(rep)
 
     def act(self, p: Permutation) -> Permutation:
         """Permutation induced by p on the cosets."""
-        p_at = p.images.__getitem__
-        return Permutation(self._key_to_index[self._coset_key(tuple(map(p_at, rep)))]
+        return Permutation(self._key_to_index[self._coset_key(times(rep)(p.images))]
                            for rep in self._reps)
 
 

@@ -27,11 +27,12 @@ Each exhaustive search stops at a proven ceiling, never below the answer:
 
 from __future__ import annotations
 
+from functools import reduce
 from math import gcd, lcm
-from operator import eq
+from operator import or_
 
 from .group import PermGroup, close_subgroup
-from .perm import Permutation
+from .perm import Permutation, times
 
 
 def closure_order(G: PermGroup, cap: int = 10 ** 6) -> int:
@@ -45,19 +46,19 @@ def _adjacency_bitsets(images: list[tuple[int, ...]], complement: bool) -> list[
     """Rows of the derangement graph on ``images``, or of its complement.
 
     Two elements are adjacent in the derangement graph iff they agree at no
-    point. Agreement is symmetric, so each unordered pair is tested once and
-    sets both bits.
+    point. For each point x, ``sends[x][y]`` is the bitset of the elements
+    that send x to y; the elements that agree with g somewhere, g itself
+    among them, are the OR over x of ``sends[x][g[x]]``.
     """
-    n = len(images)
-    rows = [0] * n
-    for i, gi in enumerate(images):
-        bit_i = 1 << i
-        bits = rows[i]
-        for j in range(i + 1, n):
-            if any(map(eq, gi, images[j])) == complement:
-                bits |= 1 << j
-                rows[j] |= bit_i
-        rows[i] = bits
+    sends = [{} for _ in images[0]]
+    for i, g in enumerate(images):
+        for at_x, y in zip(sends, g):
+            at_x[y] = at_x.get(y, 0) | 1 << i
+    everyone = (1 << len(images)) - 1
+    rows = []
+    for i, g in enumerate(images):
+        agree = reduce(or_, [at_x[y] for at_x, y in zip(sends, g)])
+        rows.append(agree & ~(1 << i) if complement else everyone & ~agree)
     return rows
 
 
@@ -137,8 +138,9 @@ def _cyclic_subgroups(images: list[tuple[int, ...]], n: int) -> list[tuple[Permu
         if g in covered:
             continue
         powers = [g]
+        times_g = times(g)
         while powers[-1] != identity:
-            powers.append(tuple(g[i] for i in powers[-1]))
+            powers.append(times_g(powers[-1]))
         order = len(powers)
         covered.update(powers[k - 1] for k in range(1, order) if gcd(k, order) == 1)
         if n % order == 0:

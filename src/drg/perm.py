@@ -13,13 +13,22 @@ bijections, so ``compose``, ``inverse``, ``identity`` and ``**`` build their
 results with the unchecked ``Permutation._trusted``, as do the stabilizer
 chain, its element walk and ``group.close_subgroup`` for the products they
 form; it must only ever receive images composed from existing permutations.
+
+``times(t)`` is the one product kernel: the map u -> u∘t on image tuples.
+The chain, the coset actions, the semiregular search and the oracles form
+every product through it, one getter per fixed factor; only the products
+wrapped as above skip the check, and ``group.CosetAction.act`` still builds
+its induced permutations checked. ``inverse`` fills its tuples from one
+cached ``range`` tuple per degree, so the inverses the chain stores share
+their int objects.
 """
 
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from math import lcm
-from operator import eq
+from operator import eq, itemgetter
 
 
 class PermError(ValueError):
@@ -58,7 +67,7 @@ class Permutation:
     def identity(n: int) -> "Permutation":
         if n < 1:
             raise PermError("degree must be at least 1")
-        return Permutation._trusted(tuple(range(n)))
+        return Permutation._trusted(_points(n))
 
     @staticmethod
     def from_cycles(cycles, degree: int) -> "Permutation":
@@ -133,16 +142,32 @@ class Permutation:
         return out
 
 
+@lru_cache(maxsize=32)
+def _points(n: int) -> tuple[int, ...]:
+    """(0, ..., n-1), one tuple per degree, so its int objects are shared."""
+    return tuple(range(n))
+
+
+def times(t: tuple[int, ...]):
+    """The map u -> u∘t on image tuples of t's degree: (u[t[0]], ..., u[t[-1]]).
+
+    ``itemgetter`` with one index returns a scalar, so degree 1 is wrapped.
+    """
+    if len(t) == 1:
+        return lambda u: (u[t[0]],)
+    return itemgetter(*t)
+
+
 def compose(p: Permutation, q: Permutation) -> Permutation:
     """Apply p first, then q."""
     if p.degree != q.degree:
         raise PermError(f"degree mismatch: {p.degree} vs {q.degree}")
-    return Permutation._trusted(tuple(map(q.images.__getitem__, p.images)))
+    return Permutation._trusted(times(p.images)(q.images))
 
 
 def inverse(p: Permutation) -> Permutation:
     inv = [0] * p.degree
-    for i, j in enumerate(p.images):
+    for i, j in zip(_points(p.degree), p.images):
         inv[j] = i
     return Permutation._trusted(tuple(inv))
 

@@ -82,7 +82,7 @@ from .group import (
     reduce_generators,
 )
 from .numth import factorize, is_prime
-from .perm import Permutation, PermError, compose, has_fixed_point, inverse, is_derangement
+from .perm import Permutation, PermError, compose, has_fixed_point, inverse, is_derangement, times
 
 DEFAULT_SUBGROUP_BUDGET = 10_000  # the checker's ceiling: it may be handed any certificate
 
@@ -159,7 +159,7 @@ def validate_semiregular(witness: SemiregularWitness, degree: int) -> None:
     if len(elems) != witness.order:
         raise WitnessError(f"witness order {witness.order} != enumerated {len(elems)}")
     for p in elems:
-        if not p.is_identity() and any(i == j for i, j in enumerate(p.images)):
+        if not p.is_identity() and has_fixed_point(p.images):
             raise WitnessError(f"non-identity member {p!r} fixes a point")
 
 
@@ -241,9 +241,8 @@ class ElementCensus:
                         for sub in self.suborbits if sub.elements
                         for j, h in orbit_transversal(sub.point, S.generators, S.degree).items())
         for _, h, elements in cosets:
-            h, h_inv = h.images, inverse(h).images
-            yield from sorted(tuple(map(h.__getitem__, map(x.__getitem__, h_inv)))
-                              for x in elements)
+            h, times_h_inv = h.images, times(inverse(h).images)
+            yield from sorted(times(times_h_inv(x))(h) for x in elements)
 
 
 @lru_cache(maxsize=1)
@@ -363,6 +362,7 @@ def _extend_semiregular(elems: list[tuple[int, ...]], label: list[int],
         return None
     members = set(elems)
     out = list(elems)
+    times_elems = list(map(times, elems))
     gens = [*gen_images, q]
     todo = [q]
     while todo:
@@ -371,10 +371,10 @@ def _extend_semiregular(elems: list[tuple[int, ...]], label: list[int],
             continue
         if len(out) + len(elems) > cap or _coset_has_fixed_point(r, label):
             return None
-        coset = [tuple(map(r.__getitem__, k)) for k in elems]
+        coset = [times_k(r) for times_k in times_elems]
         members.update(coset)
         out.extend(coset)
-        todo.extend(tuple(map(s.__getitem__, r)) for s in gens)
+        todo.extend(map(times(r), gens))
     return out
 
 
@@ -391,10 +391,11 @@ def _forces_normal_sylow(d: int, p: int) -> bool:
 def _powers(p: tuple[int, ...], identity: tuple[int, ...]) -> list[tuple[int, ...]]:
     """The cyclic group <p>, identity first: 1, p, p^2, ..., p^(m-1), m = |p|."""
     powers = [identity]
+    times_p = times(p)  # powers of p commute: x∘p == p∘x
     x = p
     while x != identity:
         powers.append(x)
-        x = tuple(map(p.__getitem__, x))
+        x = times_p(x)
     return powers
 
 
@@ -441,8 +442,8 @@ def _roots(cyclic, conjugators, identity: tuple[int, ...]):
         stack = [p]
         while stack:
             x = stack.pop()
-            for g, g_inv in conjugators:
-                y = tuple(map(g_inv.__getitem__, map(x.__getitem__, g)))
+            for times_g, g_inv in conjugators:
+                y = times(times_g(x))(g_inv)
                 y = min(_generators(_powers(y, identity)))
                 if y not in seen:
                     seen.add(y)
@@ -573,7 +574,7 @@ def max_semiregular_order(G: PermGroup,
     # which never advances itself: the readers share one buffer, so the
     # stream is drawn once, and only as far as the furthest reader
     cyclic, = tee(_cyclic_subgroups(census.semiregular_images(), identity), 1)
-    conjugators = [(g.images, inverse(g).images) for g in G.generators]
+    conjugators = [(times(g.images), inverse(g).images) for g in G.generators]
     # every element the search meets is stored once, in ``elements``, and a
     # node is keyed by the sorted indices of its elements, the identity's 0 first
     ids = {identity: 0}

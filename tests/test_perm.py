@@ -15,6 +15,7 @@ from drg.perm import (
     inverse,
     is_derangement,
     parse_cycles,
+    times,
 )
 
 
@@ -52,6 +53,22 @@ def test_inverse():
         p = rand_perm(rng, rng.randrange(1, 12))
         assert compose(p, inverse(p)).is_identity()
         assert inverse(inverse(p)) == p
+
+
+def test_times_is_the_image_tuple_product():
+    rng = random.Random(11)
+    for n in (1, 2, 40, 300):
+        for _ in range(5):
+            t, u = rand_perm(rng, n).images, rand_perm(rng, n).images
+            assert times(t)(u) == tuple(map(u.__getitem__, t))
+
+
+def test_inverses_of_one_degree_share_their_ints():
+    rng = random.Random(5)
+    p_inv, q_inv = inverse(rand_perm(rng, 600)).images, inverse(rand_perm(rng, 600)).images
+    at = {x: i for i, x in enumerate(q_inv)}
+    # ints above 256 are fresh objects unless both tuples took them from one source
+    assert all(x is q_inv[at[x]] for x in p_inv)
 
 
 def test_cycle_type():

@@ -6,7 +6,8 @@
 Each row of ``GATES`` runs in a fresh child process whose working directory
 holds C_2000 and D_1000 as ``c2000.json`` and ``d1000.json``. A gate passes
 when drg exits 0 with rho = 1 and a peak below the bound. One PASS or FAIL
-line is printed per gate, and the exit status is 1 if any gate fails.
+line is printed per gate, with the child's wall time, and the exit status
+is 1 if any gate fails.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -25,14 +27,14 @@ from drg.constructions import cyclic_group, dihedral_group
 
 # (drg arguments, peak bound in MB); times and peaks from a 2-vCPU machine
 GATES = [
-    # 3-5 s, 217 MB: C_2000's regular subgroup closes rho = 1 with no search
-    (["analyze", "c2000.json"], 400),
-    # 1.5 s, 69 MB: |G_0| = 2 takes the census's mask path over 500 cosets, as no catalog group does
-    (["analyze", "d1000.json"], 120),
+    # 1.5-1.7 s, 110 MB: C_2000's regular subgroup closes rho = 1 with no search
+    (["analyze", "c2000.json"], 160),
+    # 0.5-0.7 s, 46 MB: |G_0| = 2 takes the census's mask path over 500 cosets, as no catalog group does
+    (["analyze", "d1000.json"], 70),
     # 0.15 s, 25 MB: the greedy clique reaches 12, so no adjacency row is built
     (["density", "M12:12"], 40),
-    # 2-3 s, 189 MB: the 1999 rotations are the greedy clique; no mask or row is built
-    (["density", "c2000.json"], 250),
+    # 1.3-1.5 s, 82 MB: the 1999 rotations are the greedy clique; no mask or row is built
+    (["density", "c2000.json"], 120),
 ]
 
 # The child prints its VmHWM. Its ru_maxrss would also count the parent's
@@ -65,6 +67,7 @@ def run_drg(args: list[str], cwd: str | None = None):
 def check_gate(args: list[str], bound_mb: int, cwd: str | None = None) -> tuple[bool, str]:
     """Run one gate: whether it passed, and its PASS or FAIL line."""
     command = " ".join(["drg", *args])
+    start = time.perf_counter()
     try:
         proc, peak_mb = run_drg(args, cwd)
     except subprocess.TimeoutExpired as exc:
@@ -76,7 +79,8 @@ def check_gate(args: list[str], bound_mb: int, cwd: str | None = None) -> tuple[
               and peak_mb is not None and peak_mb < bound_mb)
     peak = "no peak" if peak_mb is None else f"peak {peak_mb:.0f} MB"
     line = (f"{'PASS' if passed else 'FAIL'}  {command}: exit {proc.returncode},"
-            f" rho [{rho[0]}, {rho[1]}], {peak}, bound {bound_mb} MB")
+            f" rho [{rho[0]}, {rho[1]}], {peak}, bound {bound_mb} MB,"
+            f" {time.perf_counter() - start:.1f} s")
     return passed, line + "".join(f"\n    {err}" for err in proc.stderr.splitlines()[-10:])
 
 
