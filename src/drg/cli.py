@@ -167,6 +167,13 @@ def cmd_numth(args) -> int:
     return 0
 
 
+def _read_permutation(raw) -> Permutation:
+    """A certificate's image list; as in group files, each point is an int, no float or bool."""
+    if not isinstance(raw, list) or not all(type(x) is int for x in raw):
+        raise TypeError(f"a permutation must be a list of integer points, got {str(raw)[:80]}")
+    return Permutation(raw)
+
+
 def cmd_verify_cert(args) -> int:
     try:
         payload = json.loads(Path(args.file).read_text())
@@ -175,7 +182,7 @@ def cmd_verify_cert(args) -> int:
             if key in payload and type(payload[key]) is not int:
                 raise TypeError(f"{key} must be an integer, got {payload[key]!r}")
         if kind in ("clique", "coclique"):
-            vertices = [Permutation(v) for v in payload["vertices"]]
+            vertices = list(map(_read_permutation, payload["vertices"]))
             if kind == "clique":
                 validate_clique(CliqueCertificate(vertices),
                                 require_identity=payload.get("require_identity", True))
@@ -188,7 +195,7 @@ def cmd_verify_cert(args) -> int:
                     f"{vertices[0].degree}"
                 )
         elif kind == "semiregular":
-            gens = [Permutation(v) for v in payload["generators"]]
+            gens = list(map(_read_permutation, payload["generators"]))
             witness = SemiregularWitness(payload.get("group", ""), gens,
                                          payload["order"], payload.get("method", "catalog"))
             validate_semiregular(witness, payload["degree"])
@@ -198,9 +205,9 @@ def cmd_verify_cert(args) -> int:
                 d, p = e["excluded_order"], e["prime"]
                 if type(d) is not int or type(p) is not int:
                     raise TypeError(f"excluded order and prime must be integers, got {d!r}, {p!r}")
-                exclusions.append((d, p, Permutation(e["element"])))
+                exclusions.append((d, p, _read_permutation(e["element"])))
             cert = SemiregularBoundCertificate(
-                payload.get("group", ""), [Permutation(v) for v in payload["generators"]],
+                payload.get("group", ""), list(map(_read_permutation, payload["generators"])),
                 payload["order"], exclusions)
             validate_semiregular_bound(cert, payload["degree"])
         else:

@@ -348,8 +348,9 @@ class CliqueSearchResult:
 
 def _identity_rooted(degree: int, images: Sequence[tuple[int, ...]],
                      indices: list[int]) -> list[Permutation]:
-    """The identity, then the indexed vertices in index order."""
-    return [Permutation.identity(degree)] + [Permutation(images[i]) for i in sorted(indices)]
+    """The identity, then the indexed vertices in index order: walk products, wrapped unchecked."""
+    return [Permutation.identity(degree)] + [Permutation._trusted(images[i])
+                                             for i in sorted(indices)]
 
 
 def find_k_clique(G: PermGroup, k: int,
@@ -424,7 +425,7 @@ def max_intersecting_family(G: PermGroup,
     """
     if clique_size_hint == G.degree and G.is_transitive():
         _, stabilizer = G.level_transversals(1, element_budget)
-        cert = CocliqueCertificate([Permutation(t) for t in sorted(stabilizer)])
+        cert = CocliqueCertificate(list(map(Permutation._trusted, sorted(stabilizer))))
         validate_coclique(cert)
         return MaxSearchResult(cert, True, 1)
 

@@ -23,9 +23,9 @@ from __future__ import annotations
 
 from functools import reduce
 from itertools import chain, groupby, repeat
-from operator import eq, itemgetter, or_
+from operator import itemgetter, or_
 
-from .perm import Permutation, PermError, compose, inverse, times
+from .perm import Permutation, PermError, compose, has_fixed_point, inverse, times
 
 DEFAULT_ELEMENT_BUDGET = 200_000
 DEFAULT_DEGREE_BUDGET = 10_000
@@ -42,18 +42,16 @@ class _ChainLevel:
     ``added`` holds the strong generators filed at this level (those moving
     this base point while fixing all earlier ones); the generating set of the
     level-i stabilizer is the union of ``added`` over levels >= i.
-    ``transversal[x]`` is a permutation u with base^u = x, and
-    ``inverses[x]`` the image tuple of u^-1, stored once with the
-    transversal for the sifts.
+    ``transversal[x]`` is a permutation u with base^u = x, the level's one
+    table: the sifts strip u from the left, so no inverse is stored.
     """
 
-    __slots__ = ("base", "added", "transversal", "inverses")
+    __slots__ = ("base", "added", "transversal")
 
     def __init__(self, base: int):
         self.base = base
         self.added: list[Permutation] = []
         self.transversal: dict[int, Permutation] = {}
-        self.inverses: dict[int, tuple[int, ...]] = {}
 
 
 def orbit_transversal(x: int, gens, degree: int) -> dict[int, Permutation]:
@@ -140,13 +138,13 @@ class PermGroup:
     def _sift_residue(self, p: tuple[int, ...], start: int = 0) -> tuple[int, ...]:
         """Strip transversal factors from the image tuple p; identity iff p is in the span."""
         for level in self._chain[start:]:
-            x = p[level.base]
-            if x == level.base:
+            y = p.index(level.base)  # p sends y to the base, so u_y·p (u_y first) fixes it
+            if y == level.base:
                 continue
-            u_inv = level.inverses.get(x)
-            if u_inv is None:
+            u = level.transversal.get(y)
+            if u is None:
                 return p
-            p = times(p)(u_inv)
+            p = times(u.images)(p)
         return p
 
     def _verify_level(self, i: int) -> int | None:
@@ -156,20 +154,21 @@ class PermGroup:
         generate its point stabilizer whenever the g generate the level's
         group (Schreier's lemma; Seress, *Permutation Group Algorithms*,
         2003, §4.1). Level 0's group is G, so there g runs over G's own
-        generators; deeper levels use their strong generators. Returns the
-        level at which a missing strong generator was filed, or None if the
-        level is complete.
+        generators; deeper levels use their strong generators. A tree edge,
+        u_x·g == u_{x^g}, gives the identity and is skipped; at any other the
+        inverse of u_{x^g} is built and dropped, as kept ones could reach n².
+        Returns the level at which a missing strong generator was filed, or None.
         """
-        level = self._chain[i]
+        transversal = self._chain[i].transversal
         gens = [g.images for g in (self.generators if i == 0 else self._strong_gens_at(i))]
         identity = tuple(range(self.degree))
-        for x in sorted(level.transversal):
-            times_ux = times(level.transversal[x].images)
+        for x in sorted(transversal):
+            times_ux = times(transversal[x].images)
             for g in gens:
-                schreier = times(times_ux(g))(level.inverses[g[x]])
-                if schreier == identity:
+                ux_g, y = times_ux(g), g[x]
+                if ux_g == transversal[y].images:
                     continue
-                residue = self._sift_residue(schreier, i + 1)
+                residue = self._sift_residue(times(ux_g)(inverse(transversal[y]).images), i + 1)
                 if residue != identity:
                     return self._file_gen(Permutation._trusted(residue))
         return None
@@ -187,7 +186,6 @@ class PermGroup:
         while i >= 0:
             level = self._chain[i]
             level.transversal = orbit_transversal(level.base, self._strong_gens_at(i), self.degree)
-            level.inverses = {x: inverse(u).images for x, u in level.transversal.items()}
             filed_at = self._verify_level(i)
             if filed_at is None:
                 i -= 1
@@ -238,18 +236,17 @@ class PermGroup:
             walk = _times_each(walk, transversal)
         return transversals[:depth], walk
 
-    def base_stabilizer(self) -> tuple[int, list[Permutation], dict[int, tuple[int, ...]]]:
-        """(b0, generators of its stabilizer G_{b0}, inverses of the level-0 transversal).
+    def base_stabilizer(self) -> tuple[int, list[Permutation], dict[int, Permutation]]:
+        """(b0, generators of its stabilizer G_{b0}, the level-0 transversal by point).
 
         b0 is the first base point, the least point that G moves. The
         generators are the strong generators filed below level 0. The
-        inverses map each point x of b0's orbit to the image tuple of u^-1,
-        u the transversal element with u[b0] == x; the dict is the chain's
-        own, to be read and not changed. G must move some point.
+        transversal maps each x in b0's orbit to the u with u[b0] == x; the
+        dict is the chain's own, to be read and not changed. G must move some point.
         """
         self._build_chain()
         level = self._chain[0]
-        return level.base, self._strong_gens_at(1), level.inverses
+        return level.base, self._strong_gens_at(1), level.transversal
 
     def iter_images(self, budget: int = DEFAULT_ELEMENT_BUDGET):
         """Yield each element's image tuple exactly once, streamed off the chain.
@@ -370,27 +367,24 @@ def coset_derangements(G: PermGroup, budget: int = DEFAULT_ELEMENT_BUDGET):
     catalog group), and otherwise walked again off the chain for each
     coset, so a wide G_{a,b} on many points costs time, not memory. When
     G_a is trivial, D_r is {u_r}, tested as it is and yielded as the
-    chain's own tuple. The chain already holds every u_r^-1.
+    chain's own tuple; otherwise u_r^-1 is built once per coset.
 
     Raises BudgetError at once when |G| exceeds the budget. The trivial
     group has no such point.
     """
-    (transversal, level1), walk = G.level_transversals(2, budget)
+    (_, level1), walk = G.level_transversals(2, budget)
     if G.order() == 1:
         return [], None
-    a, _, inverses = G.base_stabilizer()
-    at = {u[a]: u for u in transversal}  # the transversal comes sorted by u[a]
-    points = [r for r in at if r != a]
+    a, _, at = G.base_stabilizer()
+    points = sorted(r for r in at if r != a)
 
     if len(level1) == 1:  # G_a is trivial
-        identity = tuple(range(G.degree))
-
         def regular(r: int):
-            if not any(map(eq, at[r], identity)):
-                yield at[r]
+            if not has_fixed_point(at[r].images):
+                yield at[r].images
         return points, regular
 
-    small = G.order() // (len(transversal) * len(level1)) * G.degree <= _LISTED_WALK_ENTRIES
+    small = G.order() // (len(at) * len(level1)) * G.degree <= _LISTED_WALK_ENTRIES
     listed = list(walk) if small else None
     # masks[c][v]: bit k set when level1[k][c] == v
     masks: list[dict[int, int]] = [{} for _ in range(G.degree)]
@@ -401,8 +395,8 @@ def coset_derangements(G: PermGroup, budget: int = DEFAULT_ELEMENT_BUDGET):
     times_level1 = list(map(times, level1))
 
     def deranged(r: int):
-        heads = [times_t(at[r]) for times_t in times_level1]
-        u_inv = inverses[r]
+        heads = [times_t(at[r].images) for times_t in times_level1]
+        u_inv = inverse(at[r]).images
         for s in listed if listed is not None else G.level_transversals(2, budget)[1]:
             free = every_t ^ reduce(or_, map(dict.get, map(masks.__getitem__, s),
                                              u_inv, repeat(0)))
@@ -542,8 +536,7 @@ def blocks_and_primitivity(G: PermGroup) -> tuple[list[BlockSystem], bool]:
         return systems, True
     # G moves every point, so its chain opens at 0; orbits() lists each orbit
     # sorted, and the first is {0}
-    _, stabilizer, _ = G.base_stabilizer()
-    transversal = G._chain[0].transversal
+    _, stabilizer, transversal = G.base_stabilizer()
     gens = [g.images for g in stabilizer]
     seen = set()
     for a in (orbit[0] for orbit in PermGroup(stabilizer, n).orbits()[1:]):

@@ -19,7 +19,7 @@ The chain, the coset actions, the semiregular search and the oracles form
 every product through it, one getter per fixed factor; only the products
 wrapped as above skip the check, and ``group.CosetAction.act`` still builds
 its induced permutations checked. ``inverse`` fills its tuples from one
-cached ``range`` tuple per degree, so the inverses the chain stores share
+cached ``range`` tuple per degree, so the inverses of one degree share
 their int objects.
 """
 

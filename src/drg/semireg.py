@@ -278,11 +278,11 @@ def element_census(G: PermGroup, element_budget: int) -> ElementCensus:
     _, deranged = coset_derangements(G, element_budget)
     if G.order() == 1:
         return ElementCensus(0, {}, ())
-    a, gens, inverses = G.base_stabilizer()
+    a, gens, transversal = G.base_stabilizer()
 
     # the suborbits: the G_a-orbits in a's G-orbit but a's own, each sorted
     stabilizer = PermGroup(gens, G.degree)
-    orbits = [orbit for orbit in stabilizer.orbits() if orbit[0] in inverses and orbit[0] != a]
+    orbits = [orbit for orbit in stabilizer.orbits() if orbit[0] in transversal and orbit[0] != a]
 
     count = 0
     by_order: dict[int, tuple[int, tuple[int, ...]]] = {}

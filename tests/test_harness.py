@@ -692,6 +692,26 @@ def test_cli_verify_cert_bad_file(tmp_path, capsys):
         assert "error: bad certificate file" in capsys.readouterr().err, case
 
 
+@pytest.mark.parametrize("payload", [
+    {"type": "clique", "vertices": [[0.0, 1.0, 2.0], [1, 2, 0], [2.0, 0, 1]]},
+    {"type": "clique", "vertices": [[False, True], [True, False]]},
+    {"type": "coclique", "vertices": [[0, 1, 2], [0.0, 2, 1]]},
+    {"type": "semiregular", "degree": 3, "order": 3, "generators": [[1.0, 2.0, 0.0]]},
+    {"type": "semiregular-bound", "degree": 3, "order": 3, "generators": [[1, 2, 0]],
+     "exclusions": [{"excluded_order": 3, "prime": 3, "element": [1.0, 2, 0]}]},
+], ids=["clique-floats", "clique-bools", "coclique-float", "semiregular-floats",
+        "bound-element-float"])
+def test_cli_verify_cert_rejects_points_that_are_no_ints(tmp_path, capsys, payload):
+    # group files take only int points; a certificate's permutations follow
+    # the same rule, so 1.0 and true are no points
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(payload))
+    assert cli_main(["verify-cert", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert "VALID" not in out
+    assert "error: bad certificate file: a permutation must be a list of integer points" in err
+
+
 def test_cli_verify_cert_rejects_a_witness_without_generators(tmp_path, capsys, monkeypatch):
     # rejected before any closure: the degree alone would size an identity
     import drg.semireg

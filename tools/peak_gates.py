@@ -27,14 +27,14 @@ from drg.constructions import cyclic_group, dihedral_group
 
 # (drg arguments, peak bound in MB); times and peaks from a 2-vCPU machine
 GATES = [
-    # 1.5-1.7 s, 110 MB: C_2000's regular subgroup closes rho = 1 with no search
-    (["analyze", "c2000.json"], 160),
-    # 0.5-0.7 s, 46 MB: |G_0| = 2 takes the census's mask path over 500 cosets, as no catalog group does
-    (["analyze", "d1000.json"], 70),
-    # 0.15 s, 25 MB: the greedy clique reaches 12, so no adjacency row is built
+    # 1.2 s, 79 MB: C_2000's regular subgroup closes rho = 1 with no search
+    (["analyze", "c2000.json"], 115),
+    # 0.4-0.5 s, 38 MB: |G_0| = 2 takes the census's mask path over 500 cosets, as no catalog group does
+    (["analyze", "d1000.json"], 55),
+    # 0.2-0.3 s, 25 MB: the greedy clique reaches 12, so no adjacency row is built
     (["density", "M12:12"], 40),
-    # 1.3-1.5 s, 82 MB: the 1999 rotations are the greedy clique; no mask or row is built
-    (["density", "c2000.json"], 120),
+    # 1.1 s, 51 MB: the 1999 rotations are the greedy clique; no mask or row is built
+    (["density", "c2000.json"], 75),
 ]
 
 # The child prints its VmHWM. Its ru_maxrss would also count the parent's
