@@ -44,8 +44,7 @@ from .graph import (
     validate_clique,
 )
 from .group import (DEFAULT_DEGREE_BUDGET, DEFAULT_ELEMENT_BUDGET, DEFAULT_NODE_BUDGET,
-                    BudgetError, PermGroup, blocks_and_primitivity, close_subgroup,
-                    coset_action)
+                    BudgetError, PermGroup, blocks_and_primitivity, coset_action)
 from .numth import (
     cyclotomic_value,
     divisors,
@@ -59,6 +58,7 @@ from .numth import (
 from .perm import Permutation, is_derangement
 from .semireg import (
     SemiregularWitness,
+    WitnessError,
     element_census,
     is_elusive,
     max_semiregular_order,
@@ -652,17 +652,6 @@ def _check_oracle_equivalence(budgets: Budgets):
 # -- analyze and corpus scanning ---------------------------------------------------
 
 
-def _semiregular_clique(G: PermGroup, witness: SemiregularWitness) -> CliqueCertificate:
-    """The elements of a semiregular witness subgroup, as a validated clique.
-
-    Two of its elements differ by a non-identity element of a semiregular
-    group, which is a derangement. Its order is at most n, the closure's cap.
-    """
-    cert = CliqueCertificate(close_subgroup(witness.generators, G.degree, G.degree))
-    validate_clique(cert, G)
-    return cert
-
-
 def _closed_density(G: PermGroup) -> dict:
     """The density report of a transitive G holding an n-clique: rho = 1.
 
@@ -681,17 +670,19 @@ def analyze(source: str | Path | GroupFile, budgets: Budgets | None = None,
             deep: bool = False) -> dict:
     """Full deterministic report for one group (file path or catalog name).
 
-    ``clique_lower_bound`` is the largest k <= 4 with a validated k-clique in
-    the derangement graph. A k-clique holds every smaller clique, so the
-    ladder tries k = 4, 3, 2 and stops at the first k found: by the greedy
-    prefix or the exact search when G can be enumerated, by sampling (and
-    None when no sample gives a 2-clique) when it cannot.
+    The largest semiregular subgroup found, of order m, is checked once as a
+    semiregular subgroup of G, and its m elements are an m-clique: two of
+    them differ by a derangement. ``clique_lower_bound`` is the largest
+    k <= 4 with a k-clique: the ladder tries k = 4, 3, 2 and stops at the
+    first k that the witness answers (k <= m) or that has a validated
+    k-clique, from the greedy prefix or the exact search when G can be
+    enumerated, by sampling (None when no sample gives a 2-clique) when it
+    cannot.
 
-    The largest semiregular subgroup found is a clique too. Of order n it
-    closes the density at rho = 1 with no search, at any group order;
-    otherwise the exact searches run up to order 5000 (any order with
-    ``deep``), and above it the report is partial, its clique the larger of
-    the ladder's and the witness's.
+    A witness of order n closes the density at rho = 1 with no search, at
+    any group order; otherwise the exact searches run up to order 5000 (any
+    order with ``deep``), and above it the report is partial, its clique the
+    larger of the ladder's and the witness's.
     """
     budgets = budgets or Budgets()
     gf = source if isinstance(source, GroupFile) else resolve_group(source)
@@ -718,13 +709,17 @@ def analyze(source: str | Path | GroupFile, budgets: Budgets | None = None,
         report["elusive"] = rep.elusive
         if rep.witness is not None:
             report["elusive_witness_order"] = rep.witness_order
-        report["clique_lower_bound"] = next(
-            (k for k in (4, 3, 2) if quick_k_clique(G, k, budgets)[0] == "found"), 1)
         r = max_semiregular_order(G, budgets.elements, budgets.nodes)
-        report["max_semiregular_order"] = r.witness.order
+        validate_semiregular(r.witness, G.degree)
+        if not all(map(G.membership, r.witness.generators)):
+            raise WitnessError("a semiregular witness generator lies outside the group")
+        m = r.witness.order
+        report["clique_lower_bound"] = next(
+            (k for k in (4, 3, 2) if k <= m or quick_k_clique(G, k, budgets)[0] == "found"), 1)
+        report["max_semiregular_order"] = m
         report["max_semiregular_method"] = r.witness.method
         report["max_semiregular_closed"] = r.optimal
-        best_clique = max(report["clique_lower_bound"], _semiregular_clique(G, r.witness).size)
+        best_clique = max(report["clique_lower_bound"], m)
         if best_clique == G.degree:
             report["density"] = _closed_density(G)
         elif deep or G.order() <= 5000:

@@ -184,8 +184,11 @@ def cmd_verify_cert(args) -> int:
         if kind in ("clique", "coclique"):
             vertices = list(map(_read_permutation, payload["vertices"]))
             if kind == "clique":
-                validate_clique(CliqueCertificate(vertices),
-                                require_identity=payload.get("require_identity", True))
+                require_identity = payload.get("require_identity", True)
+                if type(require_identity) is not bool:  # as one_based in group files
+                    raise TypeError(
+                        f"require_identity must be true or false, got {require_identity!r}")
+                validate_clique(CliqueCertificate(vertices), require_identity=require_identity)
             else:
                 validate_coclique(CocliqueCertificate(vertices))
             degree = payload.get("degree", vertices[0].degree)

@@ -17,11 +17,10 @@ point 0), ``find_k_clique`` stops it at k vertices, and
 ``max_intersecting_family`` runs it on the complement. Where the greedy
 reaches n, as on most groups, no mask or row is built. The clique searches
 read G's derangements alone (for S_n a share near 1/e of its elements),
-walked a coset at a time so that no element with a fixed point is built,
-and kept for the latest group only. Once a clique of size n is known, the
-stabilizer of a point meets the clique-coclique bound alpha * omega <= |G|
-and is read off the group's stabilizer chain; only otherwise are the
-elements that fix a point built.
+walked a coset at a time so that no element with a fixed point is built.
+Once a clique of size n is known, the stabilizer of a point meets the
+clique-coclique bound alpha * omega <= |G| and is read off the group's
+stabilizer chain; only otherwise are the elements that fix a point built.
 
 The certificate validators stay independent of the searches: they use
 neither ``_LazyAdjacency`` nor the search functions nor ``oracles``, and
@@ -41,7 +40,7 @@ from bisect import bisect_left
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, reduce
 from operator import getitem, or_
 from typing import ClassVar
 
@@ -49,39 +48,15 @@ from .group import DEFAULT_ELEMENT_BUDGET, DEFAULT_NODE_BUDGET, BudgetError, Per
 from .perm import Permutation, PermError, has_fixed_point
 
 
-@dataclass(frozen=True)
-class DerangementSet:
-    images: tuple[tuple[int, ...], ...]  # the derangements, sorted
-
-    @property
-    def count(self) -> int:
-        return len(self.images)
-
-    @property
-    def members(self) -> list[Permutation]:
-        return [Permutation(t) for t in self.images]
-
-
-@lru_cache(maxsize=1)
-def _derangements(G: PermGroup, budget: int) -> DerangementSet:
-    """G's derangements, sorted, from the derangements-only walk of ``element_images``.
-
-    Only the latest group's set is kept, as for ``element_census``: a larger
-    cache would hold the derangements of every group its callers keep alive.
-    """
-    return DerangementSet(tuple(G.element_images(budget, derangements=True)))
-
-
-def derangement_set(G: PermGroup, budget: int = DEFAULT_ELEMENT_BUDGET) -> DerangementSet:
-    """All fixed-point-free elements of G (enumerated; needs order <= budget).
+def derangement_set(G: PermGroup, budget: int = DEFAULT_ELEMENT_BUDGET) -> list[tuple[int, ...]]:
+    """G's fixed-point-free elements, sorted image tuples (needs order <= budget).
 
     They are walked a coset D_r = {x : x[a] = r} at a time, and no element
-    with a fixed point is built; the set is kept until another group or
-    budget asks.
+    with a fixed point is built. Nothing is cached: each call walks G again.
     """
     if not G.is_transitive():
         raise PermError("derangement graphs are defined here for transitive groups")
-    return _derangements(G, budget)
+    return G.element_images(budget, derangements=True)
 
 
 def are_adjacent(g: Permutation, h: Permutation) -> bool:
@@ -368,7 +343,7 @@ def find_k_clique(G: PermGroup, k: int,
         raise PermError("k must be positive")
     if k == 1:
         return CliqueSearchResult("found", CliqueCertificate([Permutation.identity(G.degree)]), 0)
-    adj = _LazyAdjacency(derangement_set(G, element_budget).images)
+    adj = _LazyAdjacency(derangement_set(G, element_budget))
     best, closed, nodes = _max_clique_search(adj, node_budget, stop_at=k - 1)
     if len(best) < k - 1:
         return CliqueSearchResult("none" if closed else "unknown", None, nodes)
@@ -398,7 +373,7 @@ def max_clique(G: PermGroup,
     greedy's clique. The optimality flag is True when the search closed
     within budget, a search stopped at the ceiling included.
     """
-    images = derangement_set(G, element_budget).images
+    images = derangement_set(G, element_budget)
     initial = [bisect_left(images, t) for t in greedy_clique(images, G.degree - 1)]
     adj = _LazyAdjacency(images)
     best, closed, nodes = _max_clique_search(adj, node_budget, initial, stop_at=G.degree - 1)

@@ -84,8 +84,6 @@ from .group import (
 from .numth import factorize, is_prime
 from .perm import Permutation, PermError, compose, has_fixed_point, inverse, is_derangement, times
 
-DEFAULT_SUBGROUP_BUDGET = 10_000  # the checker's ceiling: it may be handed any certificate
-
 
 @dataclass
 class SemiregularWitness:
@@ -145,21 +143,24 @@ def is_semiregular_subgroup(H_gens, degree: int) -> bool:
 def validate_semiregular(witness: SemiregularWitness, degree: int) -> None:
     """Independent re-verification of a witness, from the definition.
 
-    A witness needs at least one generator: without one, nothing bounds the
-    identity of ``degree`` points that the closure would build.
+    A semiregular group's orbits are regular, so it has at most ``degree``
+    elements: the closure stops there, and a larger one is no semiregular
+    group. A witness needs at least one generator: without one, nothing
+    bounds the identity of ``degree`` points that the closure would build.
     """
     if not witness.generators:
         raise WitnessError("witness has no generators")
     for g in witness.generators:
         if g.degree != degree:
             raise WitnessError(f"generator {g!r} has degree {g.degree}, not {degree}")
-    elems = close_subgroup(witness.generators, degree, DEFAULT_SUBGROUP_BUDGET)
+    elems = close_subgroup(witness.generators, degree, degree)
     if elems is None:
-        raise WitnessError("witness subgroup exceeds the verification budget")
+        raise WitnessError(
+            f"witness subgroup has more than {degree} elements, so it is not semiregular")
     if len(elems) != witness.order:
         raise WitnessError(f"witness order {witness.order} != enumerated {len(elems)}")
-    for p in elems:
-        if not p.is_identity() and has_fixed_point(p.images):
+    for p in elems[1:]:  # the identity sorts first
+        if has_fixed_point(p.images):
             raise WitnessError(f"non-identity member {p!r} fixes a point")
 
 

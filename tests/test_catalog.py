@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 from pathlib import Path
@@ -133,3 +134,18 @@ def test_corrupted_catalog_file_detected(tmp_path, monkeypatch):
     with pytest.raises(IntegrityError):
         catalog_load("C5:5")
     _load_checked.cache_clear()
+
+
+def test_catalog_build_matches_the_shipped_files(capsys):
+    # the drift check, in process: every group is rebuilt from first
+    # principles and compared byte for byte with src/drg/data, writing nothing
+    path = Path(__file__).resolve().parents[1] / "tools" / "build_catalog.py"
+    spec = importlib.util.spec_from_file_location("build_catalog", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    before = {p.name: p.read_bytes() for p in tool.DATA_DIR.iterdir()}
+    assert tool.main(["--check"]) == 0  # build(), then drift()
+    out = capsys.readouterr().out
+    assert not [line for line in out.splitlines()
+                if line.startswith(("missing:", "extra:", "changed:"))], out
+    assert {p.name: p.read_bytes() for p in tool.DATA_DIR.iterdir()} == before

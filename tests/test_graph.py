@@ -49,23 +49,23 @@ def alt(n):
 
 def test_derangement_set_s2_s3():
     d2 = derangement_set(sym(2))
-    assert d2.count == 1 and d2.members[0] == parse_cycles("(0,1)", 2)
+    assert len(d2) == 1 and Permutation(d2[0]) == parse_cycles("(0,1)", 2)
     d3 = derangement_set(sym(3))
-    assert d3.count == 2  # exactly the two 3-cycles
-    assert all(p.order() == 3 for p in d3.members)
+    assert len(d3) == 2  # exactly the two 3-cycles
+    assert all(Permutation(t).order() == 3 for t in d3)
 
 
 def test_derangement_set_closed_under_inverse():
     for G in (sym(4), alt(5), cyclic(6)):
         d = derangement_set(G)
-        members = {p.images for p in d.members}
-        assert all(inverse(p).images in members for p in d.members)
+        members = set(d)
+        assert all(inverse(Permutation(t)).images in members for t in d)
         assert tuple(range(G.degree)) not in members
 
 
 def test_derangement_set_nonempty_jordan():
     for G in (sym(2), sym(3), sym(4), alt(4), alt(5), cyclic(7)):
-        assert derangement_set(G).count > 0
+        assert len(derangement_set(G)) > 0
 
 
 def test_are_adjacent_basics():
@@ -93,7 +93,7 @@ def test_graph_is_regular_of_degree_d():
     for _ in range(20):
         v = rng.choice(elements)
         deg = sum(1 for u in elements if u != v and are_adjacent(u, v))
-        assert deg == dset.count
+        assert deg == len(dset)
 
 
 def test_find_k_clique_jordan_and_triangle():
@@ -145,7 +145,7 @@ def test_find_k_clique_colour_bound_proves_none():
 def test_find_k_clique_certificate_has_exactly_k_vertices(k):
     G = catalog_load("PSL2(11):11").group
     # the search's first maximal clique is larger than k
-    adj = _LazyAdjacency(derangement_set(G).images)
+    adj = _LazyAdjacency(derangement_set(G))
     best, _, _ = _max_clique_search(adj, DEFAULT_NODE_BUDGET, stop_at=k - 1)
     assert len(best) > k - 1
     r = find_k_clique(G, k)
@@ -215,7 +215,7 @@ def test_clique_coclique_audit():
 
 def test_audit_rejects_duplicate_vertex():
     G = sym(3)
-    d = derangement_set(G).members[0]
+    d = Permutation(derangement_set(G)[0])
     bad = CliqueCertificate([Permutation.identity(3), d, d])
     with pytest.raises(CertificateError):
         validate_clique(bad, G)
@@ -325,7 +325,7 @@ def test_density_rho_upper_triangle():
 
 def _assert_mask_rows_match_definition(G, rows):
     # clique rows over the derangements: j adjacent to i by the definition
-    ders = derangement_set(G).members
+    ders = [Permutation(t) for t in derangement_set(G)]
     adj = _LazyAdjacency([p.images for p in ders])
     for i in range(min(rows, len(ders))):
         want = sum(1 << j for j, h in enumerate(ders) if j != i and are_adjacent(ders[i], h))
@@ -525,7 +525,7 @@ def test_clique_engine_node_counts_are_pinned(name, clique, family):
     ("A8:8", (7, True, 7)),
 ])
 def test_clique_engine_cold_node_counts_are_pinned(name, expected):
-    adj = _LazyAdjacency(derangement_set(catalog_load(name).group).images)
+    adj = _LazyAdjacency(derangement_set(catalog_load(name).group))
     best, closed, nodes = _max_clique_search(adj, DEFAULT_NODE_BUDGET)
     assert (len(best), closed, nodes) == expected
 
@@ -548,7 +548,7 @@ def test_max_clique_at_the_degree_builds_no_mask_or_row(monkeypatch):
 
 def test_max_clique_searches_on_where_the_greedy_falls_short():
     G = catalog_load("PSL2(11):12").group
-    images = derangement_set(G).images
+    images = derangement_set(G)
     assert len(greedy_clique(images, G.degree - 1)) < G.degree - 1
     r = max_clique(G)
     assert r.optimal and r.certificate.size == 12
@@ -557,7 +557,7 @@ def test_max_clique_searches_on_where_the_greedy_falls_short():
 
 def test_greedy_clique_is_first_fit():
     # the pairwise definition, taken in order, against the flag table
-    images = derangement_set(catalog_load("A5:6").group).images
+    images = derangement_set(catalog_load("A5:6").group)
     want = []
     for t in images:
         if all(are_adjacent(Permutation(t), Permutation(q)) for q in want):

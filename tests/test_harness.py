@@ -189,14 +189,18 @@ def test_analyze_witness_density_matches_density_bounds_on_the_catalog():
 
 
 def _refuse(*args, **kwargs):
-    raise AssertionError("density search run")
+    raise AssertionError("a search or a clique check run")
 
 
 @pytest.mark.parametrize("name", ["A9:9", "C300"])
 def test_analyze_closes_density_from_a_regular_witness_without_search(
         tmp_path, monkeypatch, name):
+    # the witness answers the whole ladder and is checked as a semiregular
+    # subgroup, never rebuilt as a clique certificate
     monkeypatch.setattr(drg.checks, "density_bounds", _refuse)
     monkeypatch.setattr(drg.graph, "_LazyAdjacency", _refuse)
+    monkeypatch.setattr(drg.checks, "quick_k_clique", _refuse)
+    monkeypatch.setattr(drg.checks, "validate_clique", _refuse)
     source = name
     if name == "C300":
         source = tmp_path / "c300.json"
@@ -245,6 +249,27 @@ def test_analyze_clique_ladder_matches_the_exhaustive_clique_number():
         assert analyze(rec["name"])["clique_lower_bound"] == min(4, omega), rec["name"]
         checked += 1
     assert checked >= 20
+
+
+def test_analyze_searches_the_ladder_only_above_the_witness_order(monkeypatch):
+    # a witness of order m answers every rung k <= m; over the catalog only
+    # the eight groups whose witness order is below 4 search for a clique
+    quick = drg.checks.quick_k_clique
+    calls = []
+
+    def recorded(G, k, budgets):
+        calls.append((name, k))
+        return quick(G, k, budgets)
+
+    monkeypatch.setattr(drg.checks, "quick_k_clique", recorded)
+    orders = {}
+    for rec in catalog_index():
+        name = rec["name"]
+        orders[name] = analyze(name)["max_semiregular_order"]
+    assert all(orders[name] < k for name, k in calls), calls
+    assert sorted({name for name, _ in calls}) == [
+        "A4:6", "A5:6", "A6:6", "C2:2", "C3:3", "M11:12", "PSU3(3):36", "S3:3"]
+    assert len(calls) == 9
 
 
 def test_quick_k_clique_matches_exact_on_small():
@@ -725,6 +750,33 @@ def test_cli_verify_cert_rejects_a_witness_without_generators(tmp_path, capsys, 
                                 "generators": []}))
     assert cli_main(["verify-cert", str(path)]) == 1
     assert "INVALID: witness has no generators" in capsys.readouterr().out
+
+
+_ROTATIONS = [[1, 2, 0], [2, 0, 1]]  # a 2-clique without the identity
+
+
+@pytest.mark.parametrize("value", ["false", 0, None, 1], ids=["string", "zero", "null", "one"])
+def test_cli_verify_cert_rejects_a_require_identity_that_is_no_bool(tmp_path, capsys, value):
+    # read by truthiness, "false" demanded the identity and 0 or null waived it
+    path = tmp_path / "clique.json"
+    path.write_text(json.dumps({"type": "clique", "vertices": _ROTATIONS,
+                                "require_identity": value}))
+    assert cli_main(["verify-cert", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "error: bad certificate file: require_identity must be true or false" in err
+
+
+@pytest.mark.parametrize("field, code, out", [
+    ({"require_identity": False}, 0, "VALID\n"),
+    ({"require_identity": True}, 1, "INVALID: clique certificate must contain the identity\n"),
+    ({}, 1, "INVALID: clique certificate must contain the identity\n"),
+], ids=["false", "true", "absent"])
+def test_cli_verify_cert_reads_require_identity_as_a_bool(tmp_path, capsys, field, code, out):
+    path = tmp_path / "clique.json"
+    path.write_text(json.dumps({"type": "clique", "vertices": _ROTATIONS, **field}))
+    assert cli_main(["verify-cert", str(path)]) == code
+    assert capsys.readouterr().out == out
 
 
 PSP43_40_BOUND = Path(__file__).resolve().parent / "data" / "psp43_40_semiregular_bound.json"

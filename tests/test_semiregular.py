@@ -725,6 +725,24 @@ def test_validate_semiregular_rejects_bad():
             validate_semiregular(w, degree)
 
 
+def test_validate_semiregular_caps_the_closure_at_the_degree(monkeypatch):
+    # a semiregular group has at most n elements, so the closure of S_5's
+    # generators stops at the sixth, whatever order the witness claims
+    close = semireg.close_subgroup
+    caps = []
+
+    def recorded(gens, degree, cap):
+        caps.append(cap)
+        return close(gens, degree, cap)
+
+    monkeypatch.setattr(semireg, "close_subgroup", recorded)
+    w = SemiregularWitness("S5", [parse_cycles("(0,1)", 5), parse_cycles("(0,1,2,3,4)", 5)],
+                           120, "catalog")
+    with pytest.raises(WitnessError, match="has more than 5 elements, so it is not semiregular"):
+        validate_semiregular(w, 5)
+    assert caps == [5]
+
+
 def test_lift_semiregular_doubled_action():
     # G = <(g,g) on two sheets, sheet swap>; blocks = sheet pairs {x, x+n}
     base = alt(5)
