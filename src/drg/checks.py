@@ -671,13 +671,13 @@ def analyze(source: str | Path | GroupFile, budgets: Budgets | None = None,
     """Full deterministic report for one group (file path or catalog name).
 
     The largest semiregular subgroup found, of order m, is checked once as a
-    semiregular subgroup of G, and its m elements are an m-clique: two of
-    them differ by a derangement. ``clique_lower_bound`` is the largest
-    k <= 4 with a k-clique: the ladder tries k = 4, 3, 2 and stops at the
-    first k that the witness answers (k <= m) or that has a validated
-    k-clique, from the greedy prefix or the exact search when G can be
-    enumerated, by sampling (None when no sample gives a 2-clique) when it
-    cannot.
+    semiregular subgroup of G (one generator by its cycles, with no element
+    built), and its m elements are an m-clique: two differ by a derangement.
+    ``clique_lower_bound`` is the largest k <= 4 with a k-clique: the ladder
+    tries k = 4, 3, 2 and stops at the first k that the witness answers
+    (k <= m) or that has a validated k-clique, from the greedy prefix or the
+    exact search when G can be enumerated, by sampling (None when no sample
+    gives a 2-clique) when it cannot.
 
     A witness of order n closes the density at rho = 1 with no search, at
     any group order; otherwise the exact searches run up to order 5000 (any

@@ -425,9 +425,9 @@ def trivial_group(degree: int) -> PermGroup:
 def close_subgroup(gens, degree: int, cap: int) -> list[Permutation] | None:
     """Breadth-first closure of ``gens``; None if the size would exceed cap.
 
-    The elements come sorted by image tuple. Independent of the stabilizer
-    chain, so the certificate checkers and the oracles use it, never the
-    searches. A generator of another degree raises PermError.
+    The elements come sorted by image tuple. Chain-free, so the semiregular
+    checks of several generators, the oracles, the catalog builder and the
+    tests use it, never the searches. Another degree raises PermError.
     """
     gen_images = [g.images for g in gens]
     for g in gen_images:

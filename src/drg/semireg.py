@@ -130,38 +130,49 @@ def is_semiregular_element(p: Permutation) -> bool:
     return common_cycle_length(p.images) is not None
 
 
-def is_semiregular_subgroup(H_gens, degree: int) -> bool:
-    """True iff every non-identity element of <H_gens> is a derangement.
+def _semiregular_order(gens, degree: int) -> int:
+    """|<gens>|, or WitnessError if <gens> is not semiregular: the checkers' one test.
 
-    Its order then divides the degree, so only such a group is walked off
-    its chain, and the identity must be its one element with a fixed point.
+    One generator is semiregular of order m iff all its cycles have length m.
+    Several are closed up to ``degree`` elements, as a semiregular group's
+    orbits are regular. A generator of another degree raises PermError.
     """
-    H = PermGroup(H_gens, degree)
-    return degree % H.order() == 0 and sum(map(has_fixed_point, H.iter_images(degree))) == 1
+    if len(gens) == 1:
+        g = gens[0]
+        if g.degree != degree:
+            raise PermError(f"generator degree {g.degree} != subgroup degree {degree}")
+        lengths = sorted({len(cycle) for cycle in g.cycles()})
+        if len(lengths) > 1:
+            raise WitnessError(f"{g!r} has cycles of lengths {lengths}, so it is not semiregular")
+        return lengths[0]
+    elems = close_subgroup(gens, degree, degree)
+    if elems is None:
+        raise WitnessError(
+            f"witness subgroup has more than {degree} elements, so it is not semiregular")
+    for p in elems[1:]:  # the identity sorts first
+        if has_fixed_point(p.images):
+            raise WitnessError(f"non-identity member {p!r} fixes a point")
+    return len(elems)
+
+
+def is_semiregular_subgroup(H_gens, degree: int) -> bool:
+    """True iff every non-identity element of <H_gens> is a derangement; builds no chain."""
+    try:
+        _semiregular_order(H_gens, degree)
+    except WitnessError:
+        return False
+    return True
 
 
 def validate_semiregular(witness: SemiregularWitness, degree: int) -> None:
-    """Independent re-verification of a witness, from the definition.
-
-    A semiregular group's orbits are regular, so it has at most ``degree``
-    elements: the closure stops there, and a larger one is no semiregular
-    group. A witness needs at least one generator: without one, nothing
-    bounds the identity of ``degree`` points that the closure would build.
-    """
+    """Re-verify a witness from the definition; an empty one is refused before any work."""
     if not witness.generators:
         raise WitnessError("witness has no generators")
     for g in witness.generators:
         if g.degree != degree:
             raise WitnessError(f"generator {g!r} has degree {g.degree}, not {degree}")
-    elems = close_subgroup(witness.generators, degree, degree)
-    if elems is None:
-        raise WitnessError(
-            f"witness subgroup has more than {degree} elements, so it is not semiregular")
-    if len(elems) != witness.order:
-        raise WitnessError(f"witness order {witness.order} != enumerated {len(elems)}")
-    for p in elems[1:]:  # the identity sorts first
-        if has_fixed_point(p.images):
-            raise WitnessError(f"non-identity member {p!r} fixes a point")
+    if (order := _semiregular_order(witness.generators, degree)) != witness.order:
+        raise WitnessError(f"witness order {witness.order} != enumerated {order}")
 
 
 def semiregular_primes(G: PermGroup) -> set[int]:

@@ -98,14 +98,21 @@ def test_semiregular_element_basics():
     assert not is_semiregular_element(parse_cycles("(0,1,2)", 4))
 
 
-def test_semiregular_element_matches_subgroup_definition():
+def _closure_definition(gens, n):
+    """Whether <gens> is semiregular, and its order, from its whole closure."""
+    elems = close_subgroup(gens, n, 10 ** 6)
+    return not any(has_fixed_point(p.images) for p in elems if not p.is_identity()), len(elems)
+
+
+def test_semiregular_element_tests_match_the_closure_definition():
     rng = random.Random(17)
     for _ in range(300):
         n = rng.randrange(2, 9)
         images = list(range(n))
         rng.shuffle(images)
         p = Permutation(images)
-        assert is_semiregular_element(p) == is_semiregular_subgroup([p], n)
+        semiregular, _ = _closure_definition([p], n)
+        assert is_semiregular_element(p) == is_semiregular_subgroup([p], n) == semiregular
 
 
 def test_semiregular_subgroup_examples():
@@ -121,19 +128,14 @@ def test_is_semiregular_subgroup_rejects_an_order_above_the_degree():
     assert not is_semiregular_subgroup(list(sym(8).generators), 8)
 
 
-def test_is_semiregular_subgroup_agrees_with_validate_semiregular():
+def test_semiregular_subgroup_checks_match_the_closure_definition():
     # every cyclic subgroup, and seeded samples of pairs of semiregular
-    # elements and of any elements, in the catalog groups of order <= 168
-    def by_definition(gens, n):
-        order = len(close_subgroup(gens, n, 10 ** 6))
-        try:
-            validate_semiregular(SemiregularWitness("", gens, order, "catalog"), n)
-        except WitnessError:
-            return False
-        return True
-
+    # elements, of any elements and of triples of semiregular elements, in
+    # the catalog groups of order <= 168: is_semiregular_subgroup gives the
+    # definition's bool, and validate_semiregular accepts exactly the
+    # semiregular ones at the definition's order
     rng = random.Random(12)
-    semiregular = joins = 0
+    semiregular = joins = triples = 0
     for rec in catalog_index():
         if rec["order"] > 168:
             continue
@@ -144,12 +146,51 @@ def test_is_semiregular_subgroup_agrees_with_validate_semiregular():
         cases = [[p] for p in elements]
         cases += [rng.sample(fpf, 2) for _ in range(60)] if len(fpf) > 1 else []
         cases += [rng.sample(elements, 2) for _ in range(30)]
+        cases += [rng.sample(fpf, 3) for _ in range(30)] if len(fpf) > 2 else []
         for gens in cases:
-            got = is_semiregular_subgroup(gens, n)
-            assert got == by_definition(gens, n), (rec["name"], gens)
-            semiregular += got
-            joins += got and len(gens) == 2
-    assert semiregular > 100 and joins > 20
+            expected, order = _closure_definition(gens, n)
+            assert is_semiregular_subgroup(gens, n) == expected, (rec["name"], gens)
+            witness = SemiregularWitness("", gens, order, "catalog")
+            if expected:
+                validate_semiregular(witness, n)
+            else:
+                with pytest.raises(WitnessError):
+                    validate_semiregular(witness, n)
+            semiregular += expected
+            joins += expected and len(gens) == 2
+            triples += expected and len(gens) == 3
+    assert semiregular > 100 and joins > 20 and triples > 10
+
+
+def test_validate_semiregular_reads_one_generator_off_its_cycles(monkeypatch):
+    # the n-cycle of C_800 is semiregular of order 800 by its one cycle: no
+    # element of its group is built
+    def no_closure(*args, **kwargs):
+        raise AssertionError("a one-generator witness was closed")
+
+    monkeypatch.setattr(semireg, "close_subgroup", no_closure)
+    validate_semiregular(SemiregularWitness("C800", list(cyclic(800).generators), 800,
+                                            "catalog"), 800)
+
+
+def test_is_semiregular_subgroup_builds_no_stabilizer_chain(monkeypatch):
+    # S_60's closure stops at its 61st element; its chain is never built
+    gens = list(sym(60).generators)
+
+    def no_chain(self):
+        raise AssertionError("a stabilizer chain was built")
+
+    monkeypatch.setattr(PermGroup, "_build_chain", no_chain)
+    assert not is_semiregular_subgroup(gens, 60)
+
+
+def test_one_generator_with_two_cycle_lengths_is_not_semiregular():
+    g = parse_cycles("(0,1,2)(3,4)", 5)
+    with pytest.raises(WitnessError, match=r"has cycles of lengths \[2, 3\], so it is not"):
+        validate_semiregular(SemiregularWitness("", [g], 6, "catalog"), 5)
+    assert not is_semiregular_subgroup([g], 5)
+    with pytest.raises(PermError):
+        is_semiregular_subgroup([g], 6)
 
 
 def test_semiregular_primes_c5():

@@ -27,10 +27,11 @@ from drg.constructions import cyclic_group, dihedral_group
 
 # (drg arguments, peak bound in MB); times and peaks from a 2-vCPU machine
 GATES = [
-    # 1.2 s, 79 MB: C_2000's regular subgroup closes rho = 1 with no search
-    (["analyze", "c2000.json"], 115),
-    # 0.4-0.5 s, 38 MB: |G_0| = 2 takes the census's mask path over 500 cosets, as no catalog group does
-    (["analyze", "d1000.json"], 55),
+    # 0.8-0.9 s, 49 MB: C_2000's regular subgroup closes rho = 1 with no search; its one
+    # generator is checked by its cycle, and closing it again would peak at 79 MB
+    (["analyze", "c2000.json"], 70),
+    # 0.3 s, 31 MB: |G_0| = 2 takes the census's mask path over 500 cosets, as no catalog group does
+    (["analyze", "d1000.json"], 45),
     # 0.2-0.3 s, 25 MB: the greedy clique reaches 12, so no adjacency row is built
     (["density", "M12:12"], 40),
     # 1.1 s, 51 MB: the 1999 rotations are the greedy clique; no mask or row is built
